@@ -26,6 +26,7 @@ POLICY_ERROR = "error"
 POLICY_SATURATE = "flag-and-saturate"
 
 _MAX_B_CLAMP = 709.78  # exp still representable
+B_CLAMP = 700.0  # default exponent clamp
 
 
 class SaturationError(ArithmeticError):
@@ -35,7 +36,7 @@ class SaturationError(ArithmeticError):
 @dataclass(frozen=True)
 class AugConfig:
     lam: float = 1.0
-    b_clamp: float = 700.0
+    b_clamp: float = B_CLAMP
     saturation_policy: str = POLICY_SATURATE
 
     def __post_init__(self):
@@ -60,6 +61,19 @@ class AugPoint:
         if not (all(math.isfinite(t) for t in self.theta)
                 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"non-finite augmented point ({self.theta}, {self.a}, {self.b})")
+
+    @classmethod
+    def from_finite(cls, theta: tuple[float, ...], a: float, b: float) -> "AugPoint":
+        """Build without the conversion and checks of ``__init__``.
+
+        The caller guarantees a tuple of finite floats and finite float
+        ``a``, ``b``: for hot loops that have already proved this.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "theta", theta)
+        object.__setattr__(p, "a", a)
+        object.__setattr__(p, "b", b)
+        return p
 
     def coords(self) -> list[float]:
         return list(self.theta) + [self.a, self.b]
@@ -163,6 +177,11 @@ def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[flo
     return value, saturated
 
 
+def stationarity_residual(base_loss: float, b: float) -> float:
+    """|dV/da| at a = 0, which is 2*L*exp(b): zero only where L*exp(b) is."""
+    return 2.0 * base_loss * math.exp(min(b, B_CLAMP))
+
+
 def lifted_loss(field: ScalarField, lam: float) -> Callable[[Sequence], object]:
     """The augmented loss as a dual-liftable function of [theta..., a, b].
 
@@ -179,12 +198,14 @@ def lifted_loss(field: ScalarField, lam: float) -> Callable[[Sequence], object]:
     return f
 
 
-def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
-    """Unvalidated closures over the flat state [theta..., a, b] for hot loops.
+def fast_kernel(field: ScalarField, cfg: AugConfig):
+    """Unvalidated closure ``x -> (V, L, u, grad V)`` over the flat state
+    [theta..., a, b] for hot loops.
 
-    Same arithmetic as :func:`evaluate` / :func:`gradient` under the
-    flag-and-saturate policy; callers are responsible for keeping theta inside
-    the field's box.
+    One ``raw_value`` and one ``raw_gradient`` call per evaluation; the
+    ``[-1e-9, 0) -> 0`` floor and the log-space clamp for ``u`` are applied
+    once.  Same arithmetic as :func:`evaluate` / :func:`gradient` under the
+    flag-and-saturate policy; callers keep theta inside the field's box.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -193,43 +214,69 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     lam = cfg.lam
     clamp = cfg.b_clamp
 
-    def base_at(x):
-        v = raw_value(x[:dim]) - offset
-        return 0.0 if -1e-9 <= v < 0.0 else v
-
-    def u_at(a, b):
+    def kernel(x):
+        theta = x[:dim]
+        base = raw_value(theta) - offset
+        if -1e-9 <= base < 0.0:
+            base = 0.0
+        a, b = x[dim], x[dim + 1]
         if a == 0.0:
-            return 0.0
-        t = math.log(abs(a)) + b
-        if t > clamp:
-            t = clamp
-        elif t < -clamp:
-            t = -clamp
-        return math.copysign(math.exp(t), a)
+            u = 0.0
+        else:
+            t = math.log(abs(a)) + b
+            if t > clamp:
+                t = clamp
+            elif t < -clamp:
+                t = -clamp
+            u = math.copysign(math.exp(t), a)
+        eb = math.exp(b if b <= clamp else clamp)
+        dev = u - 1.0
+        mult = 1.0 + dev * dev
+        g = [0.0 if c == 0.0 else c * mult for c in raw_grad(theta)]
+        if base == 0.0:
+            value = lam * a * a
+            g.append(2.0 * lam * a)
+            g.append(0.0)
+        else:
+            value = base * mult + lam * a * a
+            g.append(2.0 * base * dev * eb + 2.0 * lam * a)
+            g.append(2.0 * base * dev * u)
+        return value, base, u, g
+
+    return kernel
+
+
+def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
+    """Unvalidated closures ``(value, grad)`` over [theta..., a, b] for hot loops.
+
+    ``value`` skips the gradient; ``grad`` is the gradient part of
+    :func:`fast_kernel`.  Same arithmetic and caveats as that kernel.
+    """
+    dim = field.dim
+    raw_value = field.raw_value
+    offset = field.offset
+    lam = cfg.lam
+    clamp = cfg.b_clamp
+    kernel = fast_kernel(field, cfg)
 
     def value(x):
-        base = base_at(x)
+        base = raw_value(x[:dim]) - offset
         a = x[dim]
-        if base == 0.0:
+        if -1e-9 <= base <= 0.0:  # L is 0 after the floor
             return lam * a * a
-        u = u_at(a, x[dim + 1])
+        if a == 0.0:
+            u = 0.0
+        else:
+            t = math.log(abs(a)) + x[dim + 1]
+            if t > clamp:
+                t = clamp
+            elif t < -clamp:
+                t = -clamp
+            u = math.copysign(math.exp(t), a)
         dev = u - 1.0
         return base * (1.0 + dev * dev) + lam * a * a
 
     def grad(x):
-        base = base_at(x)
-        a, b = x[dim], x[dim + 1]
-        u = u_at(a, b)
-        eb = math.exp(b if b <= clamp else clamp)
-        dev = u - 1.0
-        mult = 1.0 + dev * dev
-        g = [0.0 if c == 0.0 else c * mult for c in raw_grad(x[:dim])]
-        if base == 0.0:
-            g.append(2.0 * lam * a)
-            g.append(0.0)
-        else:
-            g.append(2.0 * base * (u - 1.0) * eb + 2.0 * lam * a)
-            g.append(2.0 * base * (u - 1.0) * u)
-        return g
+        return kernel(x)[3]
 
     return value, grad

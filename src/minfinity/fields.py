@@ -102,8 +102,8 @@ class ScalarField:
 
     def clamp(self, theta: Sequence[float]) -> tuple[tuple[float, ...], bool]:
         """Project onto the domain box; second element reports whether anything moved."""
-        clamped = tuple(min(max(t, lo), hi)
-                        for t, lo, hi in zip(theta, self.lower, self.upper))
+        clamped = tuple([min(max(t, lo), hi)
+                         for t, lo, hi in zip(theta, self.lower, self.upper)])
         return clamped, clamped != tuple(theta)
 
     def interior_sample(self, rng, margin: float = 1e-3) -> tuple[float, ...]:

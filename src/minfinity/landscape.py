@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import AugConfig, AugPoint, POLICY_SATURATE, fast_value_and_grad, slice_value
+from .augment import (AugConfig, AugPoint, POLICY_SATURATE, fast_value_and_grad, slice_value,
+                      stationarity_residual)
 from .fields import ScalarField
 from .minimize import descend
-from .optimize import stationarity_residual
 
 SEED_A_RANGE = (-2.0, 2.0)
 SEED_B_RANGE = (-3.0, 3.0)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
-from .augment import AugConfig, AugPoint, fast_value_and_grad
+from .augment import AugConfig, AugPoint, fast_kernel, stationarity_residual
 from .fields import ScalarField
 
 CONVERGED = "converged-finite"
@@ -111,9 +111,8 @@ class Trajectory:
         out.write(",".join(headers) + "\n")
         for k, p, v, base, u, gn in zip(self.steps, self.points, self.losses,
                                         self.base_losses, self.us, self.grad_norms):
-            row = [str(k)] + [repr(c) for c in p.theta] + \
-                [repr(p.a), repr(p.b), repr(u), repr(base), repr(v), repr(gn)]
-            out.write(",".join(row) + "\n")
+            theta = "".join([f"{c!r}," for c in p.theta])
+            out.write(f"{k},{theta}{p.a!r},{p.b!r},{u!r},{base!r},{v!r},{gn!r}\n")
 
     def summary(self) -> dict:
         return {
@@ -128,35 +127,42 @@ class Trajectory:
         }
 
 
-class _Updater:
-    """Shared state for gd / momentum / adam over a flat coordinate vector."""
+def _updater(spec: OptimizerSpec, n: int) -> Callable[..., list[float]]:
+    """The update rule of ``spec.kind`` over a flat vector of ``n`` coordinates,
+    with its state (velocity, or Adam's moments and step count) in the closure."""
+    eta = spec.step_size
+    if spec.kind == "gd":
+        def gd(x, g):
+            return [xi - eta * gi for xi, gi in zip(x, g)]
+        return gd
 
-    def __init__(self, spec: OptimizerSpec, n: int):
-        self.spec = spec
-        self.velocity = [0.0] * n
-        self.m = [0.0] * n
-        self.v = [0.0] * n
-        self.t = 0
+    if spec.kind == "momentum":
+        mu = spec.momentum
+        vel = [0.0] * n
 
-    def step(self, x: list[float], g: Sequence[float]) -> list[float]:
-        s = self.spec
-        if s.kind == "gd":
-            return [xi - s.step_size * gi for xi, gi in zip(x, g)]
-        if s.kind == "momentum":
-            vel = self.velocity
+        def momentum(x, g):
             for i, gi in enumerate(g):
-                vel[i] = s.momentum * vel[i] + gi
-            return [xi - s.step_size * vi for xi, vi in zip(x, vel)]
-        self.t += 1
+                vel[i] = mu * vel[i] + gi
+            return [xi - eta * vi for xi, vi in zip(x, vel)]
+        return momentum
+
+    beta1, beta2, eps = spec.beta1, spec.beta2, spec.eps
+    m = [0.0] * n
+    v = [0.0] * n
+    t = 0
+
+    def adam(x, g):
+        nonlocal t
+        t += 1
         out = []
-        c1 = 1.0 - s.beta1 ** self.t
-        c2 = 1.0 - s.beta2 ** self.t
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
         for i, (xi, gi) in enumerate(zip(x, g)):
-            self.m[i] = s.beta1 * self.m[i] + (1.0 - s.beta1) * gi
-            self.v[i] = s.beta2 * self.v[i] + (1.0 - s.beta2) * gi * gi
-            out.append(xi - s.step_size * (self.m[i] / c1)
-                       / (math.sqrt(self.v[i] / c2) + s.eps))
+            m[i] = beta1 * m[i] + (1.0 - beta1) * gi
+            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi
+            out.append(xi - eta * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps))
         return out
+    return adam
 
 
 def _should_record(step: int) -> bool:
@@ -176,71 +182,49 @@ def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
     cfg = cfg or AugConfig()
     thr = thresholds or Thresholds()
     dim = field.dim
-    value_fn, grad_fn = fast_value_and_grad(field, cfg)
+    kernel = fast_kernel(field, cfg)
+    update = _updater(spec, dim + 2)
 
     start_theta, clamped = field.clamp(start.theta)
-    x = list(start_theta) + [start.a, start.b]
+    # a clamped coordinate may be an int bound; recorded points hold floats
+    x = [float(t) for t in start_theta] + [start.a, start.b]
     traj = Trajectory(field_name=field.name)
     if clamped:
         traj.clamp_events += 1
-    upd = _Updater(spec, dim + 2)
-
-    def base_at(xv):
-        v = field.raw_value(xv[:dim]) - field.offset
-        return 0.0 if -1e-9 <= v < 0.0 else v
-
-    def u_at(xv):
-        a, b = xv[dim], xv[dim + 1]
-        if a == 0.0:
-            return 0.0
-        t = math.log(abs(a)) + b
-        return math.copysign(math.exp(max(-cfg.b_clamp, min(cfg.b_clamp, t))), a)
 
     step = 0
     while True:
-        loss = value_fn(x)
-        base = base_at(x)
-        u = u_at(x)
-        g = grad_fn(x)
-        finite = math.isfinite(loss) and all(math.isfinite(c) for c in g)
-        gn = math.sqrt(math.fsum(c * c for c in g)) if finite else math.inf
+        loss, base, u, g = kernel(x)
+        finite = math.isfinite(loss) and all(map(math.isfinite, g))
+        gn = math.sqrt(math.fsum([c * c for c in g])) if finite else math.inf
         if not finite:
             traj.saturation_events += 1
-        if _should_record(step) or not finite:
-            traj.record(step, AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]),
+        diverged = (x[dim + 1] >= thr.b_max and abs(u - 1.0) <= thr.u_window
+                    and abs(x[dim]) <= 10.0 * thr.a_tol)  # divergence signature complete
+        stop = not finite or gn <= spec.grad_tol or diverged or step >= spec.max_steps
+        if stop or _should_record(step):
+            # every coordinate is a finite float: checked after each update
+            traj.record(step, AugPoint.from_finite(tuple(x[:dim]), x[dim], x[dim + 1]),
                         loss, base, u, gn)
-        traj.total_steps = step
-        if not finite:
+        if stop:
             break
-        if gn <= spec.grad_tol:
-            break
-        if (x[dim + 1] >= thr.b_max and abs(u - 1.0) <= thr.u_window
-                and abs(x[dim]) <= 10.0 * thr.a_tol):
-            break  # divergence signature complete
-        if step >= spec.max_steps:
-            break
-        x = upd.step(x, g)
+        x = update(x, g)
         theta, was_clamped = field.clamp(x[:dim])
         if was_clamped:
             traj.clamp_events += 1
-            x[:dim] = theta
+            x[:dim] = [float(t) for t in theta]
         step += 1
         if not all(map(math.isfinite, x)):
             # update escaped the representable range: saturate coordinates so
             # the failure point is still constructible, then stop
             x = _sanitize(x)
+            _, base, u, _ = kernel(x)
             traj.record(step, AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]),
-                        math.inf, base_at(x), u_at(x), math.inf)
-            traj.total_steps = step
+                        math.inf, base, u, math.inf)
             traj.saturation_events += 1
             break
 
-    if traj.steps and traj.steps[-1] != traj.total_steps:
-        g = grad_fn(x)
-        gn = math.sqrt(math.fsum(c * c for c in g)) \
-            if all(math.isfinite(c) for c in g) else math.inf
-        traj.record(traj.total_steps, AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]),
-                    value_fn(x), base_at(x), u_at(x), gn)
+    traj.total_steps = step
     traj.outcome = classify_trajectory(traj, thr)
     return traj
 
@@ -262,7 +246,7 @@ def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerS
     traj = Trajectory(field_name=field.name, augmented=False)
     if clamped:
         traj.clamp_events += 1
-    upd = _Updater(spec, dim)
+    update = _updater(spec, dim)
 
     def base_at(xv):
         v = field.raw_value(xv) - field.offset
@@ -279,7 +263,7 @@ def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerS
         traj.total_steps = step
         if not finite or gn <= spec.grad_tol or step >= spec.max_steps:
             break
-        x = upd.step(x, g)
+        x = update(x, g)
         theta, was_clamped = field.clamp(x)
         if was_clamped:
             traj.clamp_events += 1
@@ -330,11 +314,6 @@ def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) 
             and abs(p.a) <= 10.0 * thr.a_tol and _b_monotone_tail(traj)):
         return OutcomeLabel(AT_INFINITY, **cert)
     return OutcomeLabel(EXHAUSTED, **cert)
-
-
-def stationarity_residual(base_loss: float, b: float) -> float:
-    """|d/da| of the augmented loss at a = 0: zero only where L*exp(b) is."""
-    return 2.0 * base_loss * math.exp(min(b, 700.0))
 
 
 def _b_monotone_tail(traj: Trajectory) -> bool:

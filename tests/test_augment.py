@@ -1,5 +1,7 @@
 """Augmented loss: frozen examples, exact identities, saturation policy."""
 import math
+import random
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfinity import (AugConfig, AugPoint, SaturationError, eval_u, evaluate,
-                       get_field, gradient)
-from minfinity.augment import POLICY_ERROR, POLICY_SATURATE
+                       field_names, get_field, gradient)
+from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, fast_kernel,
+                               fast_value_and_grad)
 
 CFG = AugConfig()
 ERR_CFG = AugConfig(saturation_policy=POLICY_ERROR)
@@ -183,3 +186,41 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AugPoint((1.0,), math.inf, 0.0)
     assert POLICY_SATURATE == AugConfig().saturation_policy
+
+
+# --- fast closures against the validated path --------------------------------
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _oracle_points(field, rng):
+    thetas = [field.interior_sample(rng) for _ in range(4)]
+    thetas += [field.global_min] + [m.point for m in field.bad_minima]
+    pairs = [(0.0, 0.0), (0.0, 60.0), (1e-8, 0.0), (1e-8, 55.0), (-1e-300, 60.0),
+             (-1e-300, -40.0), (1.0, 60.0), (-2.0, -40.0), (0.5, 31.0)]
+    pairs += [(rng.uniform(-3.0, 3.0), rng.uniform(-40.0, 60.0)) for _ in range(8)]
+    return [AugPoint(theta, a, b) for theta in thetas for a, b in pairs]
+
+
+@pytest.mark.parametrize("cfg", [AugConfig(), AugConfig(lam=0.3, b_clamp=30.0)])
+def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
+    rng = random.Random(31)
+    floored = 0
+    for name in field_names():
+        field = get_field(name)
+        # the same field shifted up by 5e-10, so that L near the global
+        # minimum lands in the [-1e-9, 0) band that the floor maps to 0
+        for f in (field, replace(field, offset=field.offset + 5e-10)):
+            kernel = fast_kernel(f, cfg)
+            value_fn, grad_fn = fast_value_and_grad(f, cfg)
+            for p in _oracle_points(f, rng):
+                x = p.coords()
+                ev = evaluate(f, p, cfg)
+                gr = gradient(f, p, cfg)
+                v, base, u, g = kernel(x)
+                expected = _bits([ev.value, ev.base, ev.u, *gr.d_theta, gr.d_a, gr.d_b])
+                assert _bits([v, base, u, *g]) == expected, (f.name, p)
+                assert _bits([value_fn(x), *grad_fn(x)]) == _bits([v, *g]), (f.name, p)
+                floored += -1e-9 <= f.raw_value(p.theta) - f.offset < 0.0
+    assert floored > 0

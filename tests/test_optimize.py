@@ -1,13 +1,16 @@
 """Optimizer runs, trajectory recording, outcome classification."""
+import hashlib
 import io
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from minfinity import (AugConfig, AugPoint, OptimizerSpec, Thresholds,
                        Trajectory, classify_trajectory, compare_baseline,
                        get_field, run_optimizer, run_plain)
+from minfinity.fields import RASTRIGIN_BAD_X
 from minfinity.optimize import AT_INFINITY, CONVERGED, EXHAUSTED, FAILED
 
 CFG = AugConfig()
@@ -286,3 +289,96 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OptimizerSpec(kind="gd", step_size=0.1, max_steps=0)
     assert Thresholds().b_max == 20.0
+
+
+# --- byte-identical trajectories ----------------------------------------------
+
+def _csv_sha256(traj):
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# sha256 of write_csv output, recorded before the optimizer loop was fused
+# into one kernel call per step.  The plain runs start at the bad minimum and
+# stop at step 0; the augmented runs cross DENSE_RECORD_LIMIT.
+BAD_MIN_PLAIN_SHA = "021516a6940d1cbab1dd1ffa1eaaae0e4f31d6eeeaea5085e1c134a155544e55"
+BAD_MIN_AUGMENTED_SHA = {
+    "gd": "30aa84f26b81ed773878ce595fd23c6bf46a7c93a34897191cbfcde5cd391536",
+    "momentum": "6fcb4f9722f3fcce38853d4ebc9afc099ce85fc5ae9f8683c2820ad4aede1a6d",
+    "adam": "e83373ba356e33e6d327bff679cce532b60af0f9357485c45f13ed15ee07f4fd",
+}
+STEP_SIZES = {"gd": 1e-3, "momentum": 1e-3, "adam": 1e-2}
+
+
+@pytest.mark.parametrize("kind", ["gd", "momentum", "adam"])
+def test_compare_baseline_csv_is_byte_stable(kind):
+    field = get_field("rastrigin-1d")
+    spec = OptimizerSpec(kind=kind, step_size=STEP_SIZES[kind], max_steps=10_500)
+    plain, augmented = compare_baseline(field, field.bad_minima[0].point, spec, CFG)
+    assert augmented.steps[-1] == 10_500 and len(augmented.steps) == 10_051
+    assert _csv_sha256(plain) == BAD_MIN_PLAIN_SHA
+    assert _csv_sha256(augmented) == BAD_MIN_AUGMENTED_SHA[kind]
+
+
+@pytest.mark.parametrize("augmented,name,theta,kind,step,steps,sha", [
+    # the last step (10 503) falls between two sparse records
+    (True, "rastrigin-1d", (RASTRIGIN_BAD_X,), "adam", 1e-2, 10_503,
+     "06f254d87a3b47b66e4c324e4ed2e7b6c96320bfdda7b76d4d9ad32aa9cb9235"),
+    # the first update overflows a: the saturated failure point is recorded
+    (True, "quadratic-2d", (1.0, 1.0), "gd", 1e308, 100,
+     "179d63adb5dca0378b54f8018a6c3453526252c828fd77c8caf07c6e3db74d93"),
+    (False, "rastrigin-1d", (2.5,), "momentum", 1e-3, 10_503,
+     "3b80d7a8ccf69b11b1b12ef1eac0577589517e9034bc605dab0277f04e064e32"),
+    (False, "rastrigin-1d", (2.5,), "adam", 1e-2, 10_503,
+     "92f7a390c89da21a161acf19dcadfb5f7189af8318fabb86671acc52d01c2936"),
+])
+def test_trajectory_csv_is_byte_stable(augmented, name, theta, kind, step, steps, sha):
+    field = get_field(name)
+    spec = OptimizerSpec(kind=kind, step_size=step, max_steps=steps)
+    if augmented:
+        traj = run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG)
+    else:
+        traj = run_plain(field, theta, spec)
+    assert _csv_sha256(traj) == sha
+
+
+def test_integer_box_bound_is_recorded_as_float():
+    field = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
+    traj = run_optimizer(field, AugPoint((-3.0,), 0.1, 0.0), gd(1e-2, 50), CFG)
+    assert traj.clamp_events == 1
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue().split("\n")[1].startswith("0,-1.0,0.1,0.0,")
+    assert _csv_sha256(traj) == \
+        "c985520d7b75728db5f9a38f5a8a3e80c9be26a5fc7bb8c884f486977e068d0c"
+
+
+def _counting(field):
+    calls = {"raw_value": 0, "raw_gradient": 0}
+
+    def counted(name):
+        fn = getattr(field, name)
+
+        def wrapper(theta):
+            calls[name] += 1
+            return fn(theta)
+        return wrapper
+
+    return replace(field, raw_value=counted("raw_value"),
+                   raw_gradient=counted("raw_gradient")), calls
+
+
+@pytest.mark.parametrize("name,start,spec", [
+    ("rastrigin-1d", None, gd(1e-3, 10_503)),
+    ("quadratic-1d", (1.0,), gd(0.1, 100_000)),
+    ("quadratic-2d", (1.0, 1.0), gd(1e308, 100)),
+])
+def test_run_optimizer_evaluates_the_field_once_per_step(name, start, spec):
+    field, calls = _counting(get_field(name))
+    theta = start or field.bad_minima[0].point
+    traj = run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG)
+    # steps 0..total_steps are each evaluated once; the final record may add one
+    evaluated = traj.total_steps + 1
+    for n in calls.values():
+        assert evaluated <= n <= evaluated + 1
