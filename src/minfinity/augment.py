@@ -12,15 +12,22 @@ and finite differences in the test suite:
     dV/da     = 2 L (u - 1) exp(b) + 2 lam a
     dV/db     = 2 L (u - 1) u
     dV/dtheta = grad L * (1 + (u - 1)^2)
+
+All of this, with the floor of L at FLOOR_SLACK, is written once, in the
+scalar core :func:`_terms`.  ``eval_u``, ``evaluate``, ``gradient``,
+``slice_value`` and the fast closures call it, and their saturation-policy
+checks wrap it.  ``lifted_loss`` stays a separate route on purpose: it is the
+dual-number oracle the core is checked against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import copysign, exp, log  # bare names: _terms is the hot path of every route
 from typing import Callable, NamedTuple, Sequence
 
 from .differentiation import exp_
-from .fields import ScalarField
+from .fields import FLOOR_SLACK, ScalarField
 
 POLICY_ERROR = "error"
 POLICY_SATURATE = "flag-and-saturate"
@@ -97,6 +104,61 @@ class AugGradient(NamedTuple):
                          + self.d_a * self.d_a + self.d_b * self.d_b)
 
 
+def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
+    """The augmented formula at base loss ``L``: the one place it is written.
+
+    ``L`` in ``[-FLOOR_SLACK, 0)`` reads as 0.  ``u = sign(a)*exp(log|a| + b)``
+    with the exponent pinned to ``[-clamp, clamp]``; ``u_sat`` says the pin
+    applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
+    gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead:
+    ``grad`` is the list [dV/dtheta..., dV/da, dV/db], and ``b_sat`` says
+    exp(b) in dV/da was pinned at exp(clamp).  Value-only calls skip exp(b)
+    and the derivatives.  Raises nothing: the policy checks wrap it.
+    """
+    if L < 0.0 and L >= -FLOOR_SLACK:
+        L = 0.0
+    if a == 0.0:
+        u = 0.0
+        u_sat = False
+    else:
+        t = log(abs(a)) + b
+        if -clamp <= t <= clamp:
+            u_sat = False
+        else:
+            u_sat = True
+            t = copysign(clamp, t)
+        u = -exp(t) if a < 0.0 else exp(t)
+    dev = u - 1.0
+    # exact at L = 0: the whole first term vanishes for any finite (a, b)
+    value = lam * a * a if L == 0.0 else L * (1.0 + dev * dev) + lam * a * a
+    if grad_L is None:
+        return value, L, u, u_sat
+    mult = 1.0 + dev * dev
+    grad = []
+    for c in grad_L:  # a loop: for one or two coordinates a comprehension costs more
+        grad.append(0.0 if c == 0.0 else c * mult)
+    b_sat = b > clamp
+    if L == 0.0:
+        grad.append(2.0 * lam * a)
+        grad.append(0.0)
+    else:
+        grad.append(2.0 * L * dev * exp(clamp if b_sat else b) + 2.0 * lam * a)
+        grad.append(2.0 * L * dev * u)
+    return value, L, u, u_sat, grad, b_sat
+
+
+def _saturation(overflow: str, a: float, b: float, u_sat: bool,
+                b_sat: bool = False) -> SaturationError:
+    """The error for the first guard that tripped; built only to raise."""
+    if u_sat:
+        why = "exponent log|a| + b beyond clamp"
+    elif b_sat:
+        why = "exp(b) beyond clamp in d/da"
+    else:
+        why = f"{overflow} overflow"
+    return SaturationError(f"{why} at a={a!r} b={b!r}")
+
+
 def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     """a*exp(b) as sign(a)*exp(log|a| + b); exact 0 when a == 0.
 
@@ -104,30 +166,20 @@ def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     combined exponent leaves [-b_clamp, b_clamp]; the returned value is then
     pinned at the clamp.
     """
-    if a == 0.0:
-        return 0.0, False
-    t = math.log(abs(a)) + b
-    if abs(t) <= cfg.b_clamp:
-        return math.copysign(math.exp(t), a), False
-    if cfg.saturation_policy == POLICY_ERROR:
-        raise SaturationError(f"exponent {t:.6g} beyond clamp {cfg.b_clamp} for a={a!r} b={b!r}")
-    return math.copysign(math.exp(math.copysign(cfg.b_clamp, t)), a), True
+    _, _, u, u_sat = _terms(0.0, a, b, cfg.lam, cfg.b_clamp)
+    if u_sat and cfg.saturation_policy == POLICY_ERROR:
+        raise _saturation("u", a, b, u_sat)
+    return u, u_sat
 
 
 def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig,
              check_domain: bool = True) -> AugEval:
     """Augmented loss at ``point``; always >= base loss, >= 0."""
     base = field.value(point.theta, check_domain=check_domain)
-    u, saturated = eval_u(point.a, point.b, cfg)
-    if base == 0.0:
-        # exact: the whole first term vanishes for any finite (a, b)
-        value = cfg.lam * point.a * point.a
-    else:
-        dev = u - 1.0
-        value = base * (1.0 + dev * dev) + cfg.lam * point.a * point.a
-    if not math.isfinite(value):
+    value, base, u, saturated = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp)
+    if saturated or not math.isfinite(value):
         if cfg.saturation_policy == POLICY_ERROR:
-            raise SaturationError(f"augmented value overflow at a={point.a!r} b={point.b!r}")
+            raise _saturation("augmented value", point.a, point.b, saturated)
         saturated = True
     return AugEval(value, base, u, saturated)
 
@@ -137,42 +189,23 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
     """Analytic gradient; finite in all components unless flagged saturated."""
     base = field.value(point.theta, check_domain=check_domain)
     grad_base = field.gradient(point.theta, check_domain=check_domain)
-    u, saturated = eval_u(point.a, point.b, cfg)
-    if point.b > cfg.b_clamp:
-        if cfg.saturation_policy == POLICY_ERROR:
-            raise SaturationError(f"exp({point.b!r}) beyond clamp in d/da")
-        saturated = True
-        eb = math.exp(cfg.b_clamp)
-    else:
-        eb = math.exp(point.b)
-    dev = u - 1.0
-    mult = 1.0 + dev * dev
-    d_theta = tuple(0.0 if g == 0.0 else g * mult for g in grad_base)
-    if base == 0.0:
-        d_a = 2.0 * cfg.lam * point.a
-        d_b = 0.0
-    else:
-        d_a = 2.0 * base * (u - 1.0) * eb + 2.0 * cfg.lam * point.a
-        d_b = 2.0 * base * (u - 1.0) * u
-    if not (all(math.isfinite(c) for c in d_theta)
-            and math.isfinite(d_a) and math.isfinite(d_b)):
-        if cfg.saturation_policy == POLICY_ERROR:
-            raise SaturationError(f"gradient overflow at a={point.a!r} b={point.b!r}")
-        saturated = True
+    _, _, _, u_sat, grad, b_sat = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp,
+                                         grad_base)
+    saturated = u_sat or b_sat or not all(map(math.isfinite, grad))
+    if saturated and cfg.saturation_policy == POLICY_ERROR:
+        raise _saturation("gradient", point.a, point.b, u_sat, b_sat)
+    d_b = grad.pop()
+    d_a = grad.pop()
+    d_theta = tuple(grad)
     return AugGradient(d_theta, d_a, d_b, saturated)
 
 
 def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     """Augmented value with the base loss frozen at the constant ``l_slice``."""
-    u, saturated = eval_u(a, b, cfg)
-    if l_slice == 0.0:
-        value = cfg.lam * a * a
-    else:
-        dev = u - 1.0
-        value = l_slice * (1.0 + dev * dev) + cfg.lam * a * a
-    if not math.isfinite(value):
+    value, _, _, saturated = _terms(l_slice, a, b, cfg.lam, cfg.b_clamp)
+    if saturated or not math.isfinite(value):
         if cfg.saturation_policy == POLICY_ERROR:
-            raise SaturationError(f"slice value overflow at a={a!r} b={b!r}")
+            raise _saturation("slice value", a, b, saturated)
         saturated = True
     return value, saturated
 
@@ -202,10 +235,9 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
     """Unvalidated closure ``x -> (V, L, u, grad V)`` over the flat state
     [theta..., a, b] for hot loops.
 
-    One ``raw_value`` and one ``raw_gradient`` call per evaluation; the
-    ``[-1e-9, 0) -> 0`` floor and the log-space clamp for ``u`` are applied
-    once.  Same arithmetic as :func:`evaluate` / :func:`gradient` under the
-    flag-and-saturate policy; callers keep theta inside the field's box.
+    One ``raw_value``, one ``raw_gradient`` and one :func:`_terms` call per
+    evaluation.  Same arithmetic as :func:`evaluate` / :func:`gradient` under
+    the flag-and-saturate policy; callers keep theta inside the field's box.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -216,32 +248,9 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
 
     def kernel(x):
         theta = x[:dim]
-        base = raw_value(theta) - offset
-        if -1e-9 <= base < 0.0:
-            base = 0.0
-        a, b = x[dim], x[dim + 1]
-        if a == 0.0:
-            u = 0.0
-        else:
-            t = math.log(abs(a)) + b
-            if t > clamp:
-                t = clamp
-            elif t < -clamp:
-                t = -clamp
-            u = math.copysign(math.exp(t), a)
-        eb = math.exp(b if b <= clamp else clamp)
-        dev = u - 1.0
-        mult = 1.0 + dev * dev
-        g = [0.0 if c == 0.0 else c * mult for c in raw_grad(theta)]
-        if base == 0.0:
-            value = lam * a * a
-            g.append(2.0 * lam * a)
-            g.append(0.0)
-        else:
-            value = base * mult + lam * a * a
-            g.append(2.0 * base * dev * eb + 2.0 * lam * a)
-            g.append(2.0 * base * dev * u)
-        return value, base, u, g
+        value, base, u, _, grad, _ = _terms(raw_value(theta) - offset, x[dim], x[dim + 1],
+                                            lam, clamp, raw_grad(theta))
+        return value, base, u, grad
 
     return kernel
 
@@ -249,34 +258,22 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
 def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     """Unvalidated closures ``(value, grad)`` over [theta..., a, b] for hot loops.
 
-    ``value`` skips the gradient; ``grad`` is the gradient part of
-    :func:`fast_kernel`.  Same arithmetic and caveats as that kernel.
+    The same :func:`_terms` call as :func:`fast_kernel`; ``value`` stops it
+    before the derivatives.  Same caveats as that kernel.
     """
     dim = field.dim
     raw_value = field.raw_value
+    raw_grad = field.raw_gradient
     offset = field.offset
     lam = cfg.lam
     clamp = cfg.b_clamp
-    kernel = fast_kernel(field, cfg)
 
     def value(x):
-        base = raw_value(x[:dim]) - offset
-        a = x[dim]
-        if -1e-9 <= base <= 0.0:  # L is 0 after the floor
-            return lam * a * a
-        if a == 0.0:
-            u = 0.0
-        else:
-            t = math.log(abs(a)) + x[dim + 1]
-            if t > clamp:
-                t = clamp
-            elif t < -clamp:
-                t = -clamp
-            u = math.copysign(math.exp(t), a)
-        dev = u - 1.0
-        return base * (1.0 + dev * dev) + lam * a * a
+        return _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1], lam, clamp)[0]
 
     def grad(x):
-        return kernel(x)[3]
+        theta = x[:dim]
+        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, clamp,
+                      raw_grad(theta))[4]
 
     return value, grad

@@ -16,6 +16,9 @@ from .differentiation import cos_, exp_, sqrt_
 from .minimize import descend
 
 
+FLOOR_SLACK = 1e-9  # normalization slack: L in [-FLOOR_SLACK, 0) reads as 0
+
+
 class FieldError(Exception):
     """Base for evaluation failures of a scalar field."""
 
@@ -74,13 +77,13 @@ class ScalarField:
         return theta
 
     def value(self, theta: Sequence[float], check_domain: bool = True) -> float:
-        """L(theta) >= 0; negatives within -1e-9 (normalization slack) clamp to 0."""
+        """L(theta) >= 0; negatives within FLOOR_SLACK clamp to 0."""
         theta = self._check(theta, check_domain)
         v = self.raw_value(theta) - self.offset
         if not math.isfinite(v):
             raise NonFiniteError(f"{self.name}: non-finite value at {theta}")
         if v < 0.0:
-            if v < -1e-9:
+            if v < -FLOOR_SLACK:
                 raise NonFiniteError(
                     f"{self.name}: value {v} below normalization slack at {theta}")
             return 0.0

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import (AugConfig, AugPoint, POLICY_SATURATE, fast_value_and_grad, slice_value,
-                      stationarity_residual)
+from .augment import (AugConfig, AugPoint, POLICY_SATURATE, _terms, fast_value_and_grad,
+                      slice_value, stationarity_residual)
 from .fields import ScalarField
 from .minimize import descend
 
@@ -128,17 +128,7 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
         return slice_value(base, ab[0], ab[1], cfg)[0]
 
     def grad_fn(ab):
-        a, b = ab
-        if a == 0.0:
-            u = 0.0
-        else:
-            t = math.log(abs(a)) + b
-            u = math.copysign(math.exp(max(-cfg.b_clamp, min(cfg.b_clamp, t))), a)
-        eb = math.exp(min(b, cfg.b_clamp))
-        if base == 0.0:
-            return [2.0 * cfg.lam * a, 0.0]
-        return [2.0 * base * (u - 1.0) * eb + 2.0 * cfg.lam * a,
-                2.0 * base * (u - 1.0) * u]
+        return _terms(base, ab[0], ab[1], cfg.lam, cfg.b_clamp, ())[4]  # [dV/da, dV/db]
 
     res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
                   max_iters=polish_iters, polish_iters=0,

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import IO, Callable, Sequence
 
-from .augment import AugConfig, AugPoint, fast_kernel, stationarity_residual
+from .augment import (B_CLAMP, AugConfig, AugPoint, _terms, fast_kernel,
+                      stationarity_residual)
 from .fields import ScalarField
 
 CONVERGED = "converged-finite"
@@ -51,7 +52,11 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Classification constants separating the finite and divergent regimes."""
+    """Classification constants separating the finite and divergent regimes.
+
+    ``loss_tol`` and ``a_tol`` also bound the base loss and ``|a|`` of every
+    converged report in the critical-points suite.
+    """
 
     b_max: float = 20.0
     a_tol: float = 1e-3
@@ -179,16 +184,49 @@ def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
     tolerance, a completed divergence signature, a non-finite value, or the
     step budget, and the trajectory is classified in place.
     """
-    cfg = cfg or AugConfig()
-    thr = thresholds or Thresholds()
+    return _run(field, fast_kernel(field, cfg or AugConfig()), start.theta, start.a, start.b,
+                spec, thresholds or Thresholds(), augmented=True)
+
+
+def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerSpec,
+              thresholds: Thresholds | None = None) -> Trajectory:
+    """Baseline: the same optimizer on the raw loss, theta only.
+
+    Runs the loop of :func:`run_optimizer` over [theta..., 0.0, 0.0] with a
+    kernel whose a and b gradient is 0, so a and b stay exactly 0.0 under
+    every update rule.  Recorded points carry a = b = u = 0 so exports share
+    one schema.
+    """
     dim = field.dim
-    kernel = fast_kernel(field, cfg)
+    raw_value = field.raw_value
+    raw_grad = field.raw_gradient
+    offset = field.offset
+
+    def kernel(x):
+        theta = x[:dim]
+        # _terms applies the [-FLOOR_SLACK, 0) -> 0 floor and returns L second
+        base = _terms(raw_value(theta) - offset, 0.0, 0.0, 1.0, B_CLAMP)[1]
+        return base, base, 0.0, [*raw_grad(theta), 0.0, 0.0]
+
+    return _run(field, kernel, theta_start, 0.0, 0.0, spec, thresholds or Thresholds(),
+                augmented=False)
+
+
+def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: float,
+         b_start: float, spec: OptimizerSpec, thr: Thresholds, augmented: bool) -> Trajectory:
+    """The optimizer loop over the flat state [theta..., a, b].
+
+    ``kernel(x)`` returns ``(V, L, u, grad V)``; one call per step.  Only an
+    augmented run checks the divergence signature.
+    """
+    dim = field.dim
     update = _updater(spec, dim + 2)
 
-    start_theta, clamped = field.clamp(start.theta)
-    # a clamped coordinate may be an int bound; recorded points hold floats
-    x = [float(t) for t in start_theta] + [start.a, start.b]
-    traj = Trajectory(field_name=field.name)
+    start_theta, clamped = field.clamp(theta_start)
+    # validated once: a clamped coordinate may be an int bound, and recorded
+    # points hold finite floats
+    x = AugPoint(start_theta, a_start, b_start).coords()
+    traj = Trajectory(field_name=field.name, augmented=augmented)
     if clamped:
         traj.clamp_events += 1
 
@@ -199,13 +237,15 @@ def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
         gn = math.sqrt(math.fsum([c * c for c in g])) if finite else math.inf
         if not finite:
             traj.saturation_events += 1
-        diverged = (x[dim + 1] >= thr.b_max and abs(u - 1.0) <= thr.u_window
+        diverged = (augmented and x[dim + 1] >= thr.b_max and abs(u - 1.0) <= thr.u_window
                     and abs(x[dim]) <= 10.0 * thr.a_tol)  # divergence signature complete
         stop = not finite or gn <= spec.grad_tol or diverged or step >= spec.max_steps
         if stop or _should_record(step):
-            # every coordinate is a finite float: checked after each update
-            traj.record(step, AugPoint.from_finite(tuple(x[:dim]), x[dim], x[dim + 1]),
-                        loss, base, u, gn)
+            # every coordinate is a finite float: checked after each update.  A
+            # plain run records the literal 0.0: each update keeps its a and b
+            # at 0.0, but as new float objects
+            a, b = (x[dim], x[dim + 1]) if augmented else (0.0, 0.0)
+            traj.record(step, AugPoint.from_finite(tuple(x[:dim]), a, b), loss, base, u, gn)
         if stop:
             break
         x = update(x, g)
@@ -231,52 +271,6 @@ def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
 
 def _sanitize(x: list[float]) -> list[float]:
     return [0.0 if c != c else min(max(c, -1e308), 1e308) for c in x]
-
-
-def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerSpec,
-              thresholds: Thresholds | None = None) -> Trajectory:
-    """Baseline: the same optimizer on the raw loss, theta only.
-
-    Recorded points carry a = b = u = 0 so exports share one schema.
-    """
-    thr = thresholds or Thresholds()
-    dim = field.dim
-    theta, clamped = field.clamp(tuple(float(t) for t in theta_start))
-    x = list(theta)
-    traj = Trajectory(field_name=field.name, augmented=False)
-    if clamped:
-        traj.clamp_events += 1
-    update = _updater(spec, dim)
-
-    def base_at(xv):
-        v = field.raw_value(xv) - field.offset
-        return 0.0 if -1e-9 <= v < 0.0 else v
-
-    step = 0
-    while True:
-        loss = base_at(x)
-        g = list(field.raw_gradient(x))
-        finite = math.isfinite(loss) and all(math.isfinite(c) for c in g)
-        gn = math.sqrt(math.fsum(c * c for c in g)) if finite else math.inf
-        if _should_record(step) or not finite:
-            traj.record(step, AugPoint(tuple(x), 0.0, 0.0), loss, loss, 0.0, gn)
-        traj.total_steps = step
-        if not finite or gn <= spec.grad_tol or step >= spec.max_steps:
-            break
-        x = update(x, g)
-        theta, was_clamped = field.clamp(x)
-        if was_clamped:
-            traj.clamp_events += 1
-            x = list(theta)
-        step += 1
-
-    if traj.steps and traj.steps[-1] != traj.total_steps:
-        g = list(field.raw_gradient(x))
-        gn = math.sqrt(math.fsum(c * c for c in g))
-        traj.record(traj.total_steps, AugPoint(tuple(x), 0.0, 0.0),
-                    base_at(x), base_at(x), 0.0, gn)
-    traj.outcome = classify_trajectory(traj, thr)
-    return traj
 
 
 def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) -> OutcomeLabel:

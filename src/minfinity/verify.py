@@ -18,12 +18,11 @@ from . import augment, landscape
 from .augment import AugConfig, AugPoint
 from .differentiation import dual_gradient, fd_gradient
 from .fields import field_names, get_field
+from .optimize import Thresholds
 
 FD_TOL = 1e-6
 DUAL_TOL = 1e-12
 INFIMUM_TOL = 1e-3
-LOSS_TOL = 1e-4
-A_TOL = 1e-3
 
 SUITES = ("grad-check", "critical-points", "infimum", "all")
 
@@ -88,13 +87,14 @@ def grad_check_suite(seed: int = 0, n_points: int = 1000, lam: float = 1.0,
 def critical_point_suite(seed: int = 0, n_seeds: int = 256, lam: float = 1.0,
                          fields: list[str] | None = None) -> dict:
     cfg = AugConfig(lam=lam)
+    thr = Thresholds()
     checks = []
     for name in fields or field_names():
         field = get_field(name)
         reports = landscape.find_critical_points(field, cfg, n_seeds=n_seeds, seed=seed)
         converged = [r for r in reports if r.converged]
         bad = [r for r in converged
-               if r.base_loss > LOSS_TOL or abs(r.a_value) > A_TOL]
+               if r.base_loss > thr.loss_tol or abs(r.a_value) > thr.a_tol]
         worst_loss = max((r.base_loss for r in converged), default=0.0)
         worst_a = max((abs(r.a_value) for r in converged), default=0.0)
         checks.append({
@@ -103,8 +103,8 @@ def critical_point_suite(seed: int = 0, n_seeds: int = 256, lam: float = 1.0,
             "converged": len(converged),
             "worst_base_loss": worst_loss,
             "worst_abs_a": worst_a,
-            "loss_tolerance": LOSS_TOL,
-            "a_tolerance": A_TOL,
+            "loss_tolerance": thr.loss_tol,
+            "a_tolerance": thr.a_tol,
             "violations": len(bad),
             "violating_seeds": [r.seed_index for r in bad],
         })

@@ -1,4 +1,5 @@
 """Augmented loss: frozen examples, exact identities, saturation policy."""
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfinity import (AugConfig, AugPoint, SaturationError, eval_u, evaluate,
-                       field_names, get_field, gradient)
+                       field_names, get_field, gradient, probe_infimum)
 from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, fast_kernel,
-                               fast_value_and_grad)
+                               fast_value_and_grad, slice_value)
 
 CFG = AugConfig()
 ERR_CFG = AugConfig(saturation_policy=POLICY_ERROR)
@@ -117,6 +118,39 @@ def test_gradient_saturation_policy():
         gradient(field, point, ERR_CFG)
 
 
+# each guard alone on quadratic-1d: (theta, a, b) -> the routes it trips
+GUARD_POINTS = {
+    # log|a| + b is about -741: only the exponent clamp of u applies
+    "exponent-clamp": (((1.0,), 1e-300, -50.0), {"evaluate", "gradient", "slice_value"}),
+    # u is in range but exp(b) in dV/da is past the clamp
+    "b-in-d/da": (((0.01,), 1e-300, 700.5), {"gradient"}),
+    # u = exp(400) is in range but (u - 1)^2 overflows
+    "overflow": (((1.0,), 1.0, 400.0), {"evaluate", "gradient", "slice_value"}),
+}
+
+
+def _saturated(route, theta, a, b, cfg):
+    field = get_field("quadratic-1d")
+    if route == "evaluate":
+        return evaluate(field, AugPoint(theta, a, b), cfg).saturated
+    if route == "gradient":
+        return gradient(field, AugPoint(theta, a, b), cfg).saturated
+    return slice_value(field.value(theta), a, b, cfg)[1]
+
+
+@pytest.mark.parametrize("guard", list(GUARD_POINTS))
+@pytest.mark.parametrize("route", ["evaluate", "gradient", "slice_value"])
+def test_each_saturation_guard_alone(guard, route):
+    (theta, a, b), routes = GUARD_POINTS[guard]
+    trips = route in routes
+    assert _saturated(route, theta, a, b, CFG) == trips
+    if trips:
+        with pytest.raises(SaturationError):
+            _saturated(route, theta, a, b, ERR_CFG)
+    else:
+        assert not _saturated(route, theta, a, b, ERR_CFG)
+
+
 # --- exact identities (property tests) --------------------------------------
 
 FIELD_STRATS = {
@@ -203,10 +237,20 @@ def _oracle_points(field, rng):
     return [AugPoint(theta, a, b) for theta in thetas for a, b in pairs]
 
 
-@pytest.mark.parametrize("cfg", [AugConfig(), AugConfig(lam=0.3, b_clamp=30.0)])
+# sha256 over the float.hex outputs of eval_u, evaluate, gradient, slice_value,
+# the fast closures and probe_infimum at the oracle points, recorded while each
+# route still wrote the augmented formula out by hand
+ORACLE_SHA = {
+    AugConfig(): "7a64c5b86342d528f080d3a905228bb7b55fbb88d9a9d1aad9f4c956b1eca28b",
+    AugConfig(lam=0.3, b_clamp=30.0): "6989a79be058b03f0b9329ae87b41f16dc11891a78f2dd5ba4fa4c6b47e4d118",
+}
+
+
+@pytest.mark.parametrize("cfg", list(ORACLE_SHA))
 def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
     rng = random.Random(31)
     floored = 0
+    digest = hashlib.sha256()
     for name in field_names():
         field = get_field(name)
         # the same field shifted up by 5e-10, so that L near the global
@@ -214,7 +258,8 @@ def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
         for f in (field, replace(field, offset=field.offset + 5e-10)):
             kernel = fast_kernel(f, cfg)
             value_fn, grad_fn = fast_value_and_grad(f, cfg)
-            for p in _oracle_points(f, rng):
+            points = _oracle_points(f, rng)
+            for p in points:
                 x = p.coords()
                 ev = evaluate(f, p, cfg)
                 gr = gradient(f, p, cfg)
@@ -223,4 +268,11 @@ def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
                 assert _bits([v, base, u, *g]) == expected, (f.name, p)
                 assert _bits([value_fn(x), *grad_fn(x)]) == _bits([v, *g]), (f.name, p)
                 floored += -1e-9 <= f.raw_value(p.theta) - f.offset < 0.0
+                eu, eu_sat = eval_u(p.a, p.b, cfg)
+                sv, sv_sat = slice_value(ev.base, p.a, p.b, cfg)
+                flags = [ev.saturated, gr.saturated, eu_sat, sv_sat]
+                digest.update(" ".join(expected + _bits([eu, sv]) + [repr(flags)]).encode())
+            for theta in dict.fromkeys(p.theta for p in points):
+                digest.update(_bits([probe_infimum(f, theta, cfg)])[0].encode())
     assert floored > 0
+    assert digest.hexdigest() == ORACLE_SHA[cfg]

@@ -1,4 +1,5 @@
 """Critical-point finder, infimum probe, contour grids, SVG rendering."""
+import hashlib
 import math
 
 import pytest
@@ -165,6 +166,19 @@ def test_saturated_cells_are_flagged():
     grid = sample_contour(1.0, 1.0, a_range=(1.0, 2.0), b_range=(699.0, 720.0),
                           resolution=(3, 3))
     assert grid.saturated  # exponent guard must fire somewhere in this range
+
+
+def test_contour_grid_is_byte_stable():
+    # a grid across the exponent clamp of 30; the sha256 of its float.hex
+    # values and flagged cells was recorded before slice_value shared its
+    # arithmetic with evaluate and the fast closures
+    cfg = AugConfig(lam=0.3, b_clamp=30.0)
+    grid = sample_contour(0.7, 0.3, a_range=(-2.0, 2.0), b_range=(-40.0, 60.0),
+                          resolution=(41, 51), cfg=cfg)
+    assert grid.saturated
+    text = " ".join(v.hex() for row in grid.values for v in row) + repr(grid.saturated)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8bed724a8fd30b949a99abaf5d4b10f083ef78ac9f065c31c7c382d91d4a1128"
 
 
 # --- svg ---------------------------------------------------------------------

@@ -332,6 +332,12 @@ def test_compare_baseline_csv_is_byte_stable(kind):
      "3b80d7a8ccf69b11b1b12ef1eac0577589517e9034bc605dab0277f04e064e32"),
     (False, "rastrigin-1d", (2.5,), "adam", 1e-2, 10_503,
      "92f7a390c89da21a161acf19dcadfb5f7189af8318fabb86671acc52d01c2936"),
+    # recorded before run_plain shared the augmented loop: a stop between two
+    # sparse records, and a start clamped into the box
+    (False, "quadratic-1d", (1.0,), "gd", 1e-6, 10_503,
+     "a42b3d1a7888c285440cb57bf229f8d07d381cea2b472534663186822d068a5a"),
+    (False, "quadratic-2d", (12.0, -3.0), "adam", 0.5, 200,
+     "eaf0b2b24a768f01fb1f0a5c8998f51fe662fa9e8ce9539214432097e879350b"),
 ])
 def test_trajectory_csv_is_byte_stable(augmented, name, theta, kind, step, steps, sha):
     field = get_field(name)
@@ -369,6 +375,13 @@ def _counting(field):
                    raw_gradient=counted("raw_gradient")), calls
 
 
+def _assert_once_per_step(traj, calls):
+    # steps 0..total_steps are each evaluated once; the final record may add one
+    evaluated = traj.total_steps + 1
+    for n in calls.values():
+        assert evaluated <= n <= evaluated + 1
+
+
 @pytest.mark.parametrize("name,start,spec", [
     ("rastrigin-1d", None, gd(1e-3, 10_503)),
     ("quadratic-1d", (1.0,), gd(0.1, 100_000)),
@@ -377,8 +390,15 @@ def _counting(field):
 def test_run_optimizer_evaluates_the_field_once_per_step(name, start, spec):
     field, calls = _counting(get_field(name))
     theta = start or field.bad_minima[0].point
-    traj = run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG)
-    # steps 0..total_steps are each evaluated once; the final record may add one
-    evaluated = traj.total_steps + 1
-    for n in calls.values():
-        assert evaluated <= n <= evaluated + 1
+    _assert_once_per_step(run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG), calls)
+
+
+@pytest.mark.parametrize("name,theta,spec", [
+    # stops at step 10 503, between two sparse records
+    ("quadratic-1d", (1.0,), gd(1e-6, 10_503)),
+    # converges at once at the bad minimum
+    ("rastrigin-1d", (RASTRIGIN_BAD_X,), gd(1e-3, 100)),
+])
+def test_run_plain_evaluates_the_field_once_per_step(name, theta, spec):
+    field, calls = _counting(get_field(name))
+    _assert_once_per_step(run_plain(field, theta, spec), calls)
