@@ -4,13 +4,13 @@ base loss, while strictly positive local minima turn into minima at infinity.
 """
 
 from .augment import (AugConfig, AugEval, AugGradient, AugPoint,
-                      SaturationError, eval_u, evaluate, gradient)
+                      SaturationError, Thresholds, eval_u, evaluate, gradient)
 from .fields import (BadMinimum, DimensionError, DomainError, FieldError,
                      NonFiniteError, NormalizationError, ScalarField,
                      field_names, get_field, normalize, zero_min_field_names)
 from .landscape import (ContourGrid, CriticalPointReport, find_critical_points,
                         probe_infimum, sample_contour, stationarity_scan)
-from .optimize import (OptimizerSpec, OutcomeLabel, Thresholds, Trajectory,
+from .optimize import (OptimizerSpec, OutcomeLabel, Trajectory,
                        classify_trajectory, compare_baseline, run_optimizer,
                        run_plain)
 

@@ -17,7 +17,9 @@ All of this, with the floor of L at FLOOR_SLACK, is written once, in the
 scalar core :func:`_terms`.  ``eval_u``, ``evaluate``, ``gradient``,
 ``slice_value`` and the fast closures call it, and their saturation-policy
 checks wrap it.  ``lifted_loss`` stays a separate route on purpose: it is the
-dual-number oracle the core is checked against.
+dual-number oracle the core is checked against.  The certificate of a finite
+critical point and the signature of a run heading to b -> inf are written once
+too, as the methods of :class:`Thresholds`.
 """
 from __future__ import annotations
 
@@ -53,6 +55,45 @@ class AugConfig:
             raise ValueError(f"b_clamp must be in (0, {_MAX_B_CLAMP}], got {self.b_clamp!r}")
         if self.saturation_policy not in (POLICY_ERROR, POLICY_SATURATE):
             raise ValueError(f"unknown saturation policy {self.saturation_policy!r}")
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    """The certificate and the divergence signature, with their one set of limits.
+
+    ``grad_tol`` both stops an optimizer run and certifies it.  ``loss_tol``
+    and ``a_tol`` also bound the base loss and ``|a|`` of every converged
+    report in the critical-points suite.
+    """
+
+    b_max: float = 20.0
+    a_tol: float = 1e-3
+    loss_tol: float = 1e-4
+    u_window: float = 0.1
+    grad_tol: float = 1e-8
+
+    def __post_init__(self):
+        # an infinite tolerance would certify every point with |b| <= b_max
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be a positive real, got {self.grad_tol!r}")
+
+    def certifies(self, grad_norm: float, base_loss: float, b: float) -> bool:
+        """A finite critical point: gradient at tolerance, |b| <= b_max, and the
+        stationarity residual 2*L*exp(b) at tolerance too.
+
+        At a true finite critical point dV/da at a = 0 is -2*L*exp(b), so it
+        must vanish; without the residual the quasi-frozen plateau toward
+        b -> -inf (a balances at L*exp(b)/lam and every gradient component
+        dips under tolerance) would pass at a strictly positive base loss.
+        exp(b) is clamped so that a b_max above 709 cannot overflow.
+        """
+        return (grad_norm <= self.grad_tol and abs(b) <= self.b_max
+                and 2.0 * base_loss * exp(min(b, B_CLAMP)) <= self.grad_tol)
+
+    def diverging(self, a: float, b: float, u: float) -> bool:
+        """The divergence signature: b at or past b_max, u = a*exp(b) within
+        ``u_window`` of 1, and |a| within 10*a_tol."""
+        return b >= self.b_max and abs(u - 1.0) <= self.u_window and abs(a) <= 10.0 * self.a_tol
 
 
 @dataclass(frozen=True)
@@ -208,11 +249,6 @@ def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[flo
             raise _saturation("slice value", a, b, saturated)
         saturated = True
     return value, saturated
-
-
-def stationarity_residual(base_loss: float, b: float) -> float:
-    """|dV/da| at a = 0, which is 2*L*exp(b): zero only where L*exp(b) is."""
-    return 2.0 * base_loss * math.exp(min(b, B_CLAMP))
 
 
 def lifted_loss(field: ScalarField, lam: float) -> Callable[[Sequence], object]:

@@ -17,7 +17,7 @@ import sys
 from . import augment, landscape, optimize, svgplot, verify
 from .augment import AugConfig, AugPoint, POLICY_ERROR, POLICY_SATURATE, SaturationError
 from .fields import FieldError, field_names, get_field
-from .optimize import OptimizerSpec
+from .optimize import OptimizerSpec, Thresholds
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -186,6 +186,8 @@ def _resolve_run_config(args) -> dict:
     merged["start"] = start
     if not merged["field"]:
         raise UsageError("a field name is required (flag --field or config key)")
+    if type(merged["seed"]) is not int:  # the file's seed reaches random.Random
+        raise UsageError(f"seed must be an integer, got {merged['seed']!r}")
     if merged["field"] not in field_names():
         raise UsageError(f"unknown field {merged['field']!r}; "
                          f"available: {', '.join(field_names())}")
@@ -221,9 +223,11 @@ def _resolve_start(field, start: dict, seed: int) -> AugPoint:
     raise UsageError(f"unknown start mode {mode!r}")
 
 
-def _spec_from(opt: dict) -> OptimizerSpec:
+def _spec_from(opt: dict) -> tuple[OptimizerSpec, Thresholds]:
+    opt = dict(opt)  # grad_tol is a threshold: one number stops and labels the run
     try:
-        return OptimizerSpec(**opt)
+        thr = Thresholds(grad_tol=opt.pop("grad_tol")) if "grad_tol" in opt else Thresholds()
+        return OptimizerSpec(**opt), thr
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad optimizer spec: {exc}")
 
@@ -231,10 +235,10 @@ def _spec_from(opt: dict) -> OptimizerSpec:
 def _cmd_optimize(args) -> int:
     config = _resolve_run_config(args)
     field = get_field(config["field"])
-    spec = _spec_from(config["optimizer"])
+    spec, thr = _spec_from(config["optimizer"])
     start = _resolve_start(field, config["start"], config["seed"])
     cfg = AugConfig(lam=config["lambda"])
-    traj = optimize.run_optimizer(field, start, spec, cfg)
+    traj = optimize.run_optimizer(field, start, spec, cfg, thr)
 
     out_dir = config["out_dir"]
     if "csv" in config["formats"]:
@@ -252,11 +256,11 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     config = _resolve_run_config(args)
     field = get_field(config["field"])
-    spec = _spec_from(config["optimizer"])
+    spec, thr = _spec_from(config["optimizer"])
     start = _resolve_start(field, config["start"], config["seed"])
     cfg = AugConfig(lam=config["lambda"])
     plain, augmented = optimize.compare_baseline(
-        field, start.theta, spec, cfg, a_start=start.a, b_start=start.b)
+        field, start.theta, spec, cfg, thr, a_start=start.a, b_start=start.b)
 
     out_dir = config["out_dir"]
     for name, traj in (("plain", plain), ("augmented", augmented)):
@@ -286,7 +290,8 @@ def _cmd_verify(args) -> int:
     kwargs = {}
     if args.suite == "critical-points" and args.seeds:
         kwargs["n_seeds"] = args.seeds
-    report = verify.run_suite(args.suite, args.seed, **kwargs)
+    seed = args.seed if args.seed is not None else _default_seed()
+    report = verify.run_suite(args.suite, seed, **kwargs)
     if args.out:
         _write_text(os.path.join(args.out, "verify.json"),
                     json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -361,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -64,9 +64,6 @@ class Dual:
         e = math.exp(self.primal)
         return Dual(e, e * self.tangent)
 
-    def sin(self):
-        return Dual(math.sin(self.primal), math.cos(self.primal) * self.tangent)
-
     def cos(self):
         return Dual(math.cos(self.primal), -math.sin(self.primal) * self.tangent)
 
@@ -89,10 +86,6 @@ def exp_(x):
     return x.exp() if isinstance(x, Dual) else math.exp(x)
 
 
-def sin_(x):
-    return x.sin() if isinstance(x, Dual) else math.sin(x)
-
-
 def cos_(x):
     return x.cos() if isinstance(x, Dual) else math.cos(x)
 
@@ -101,16 +94,15 @@ def sqrt_(x):
     return x.sqrt() if isinstance(x, Dual) else math.sqrt(x)
 
 
-def fd_gradient(f: Callable[[Sequence[float]], float], x: Sequence[float],
-                h_scale: float = 1e-6) -> list[float]:
-    """Central finite-difference gradient, h_i = h_scale * max(1, |x_i|).
+def fd_gradient(f: Callable[[Sequence[float]], float], x: Sequence[float]) -> list[float]:
+    """Central finite-difference gradient, h_i = 1e-6 * max(1, |x_i|).
 
     Raises ValueError when a stencil evaluation is non-finite.
     """
     x = list(x)
     grad = []
     for i, xi in enumerate(x):
-        h = h_scale * max(1.0, abs(xi))
+        h = 1e-6 * max(1.0, abs(xi))
         hi = list(x)
         lo = list(x)
         hi[i] = xi + h

@@ -118,17 +118,16 @@ class ScalarField:
         return tuple(out)
 
 
-def normalize(raw: ScalarField, starts: int = 32, seed: int = 0,
-              grad_tol: float = 1e-7) -> ScalarField:
+def normalize(raw: ScalarField, grad_tol: float = 1e-7) -> ScalarField:
     """Return a copy of ``raw`` shifted so the located global minimum reads 0.
 
-    Multistart damped descent: the box midpoint plus ``starts - 1`` seeded
-    uniform draws, each polished until the gradient norm drops below
-    ``grad_tol``.  Raises NormalizationError when no start converges.
+    Multistart damped descent: the box midpoint plus 31 uniform draws seeded
+    with 0, each polished until the gradient norm drops below ``grad_tol``.
+    Raises NormalizationError when no start converges.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     mid = tuple(0.5 * (lo + hi) for lo, hi in zip(raw.lower, raw.upper))
-    points = [mid] + [raw.interior_sample(rng, margin=0.0) for _ in range(starts - 1)]
+    points = [mid] + [raw.interior_sample(rng, margin=0.0) for _ in range(31)]
     best_val = math.inf
     best_x = None
     any_converged = False

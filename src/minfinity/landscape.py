@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import (AugConfig, AugPoint, POLICY_SATURATE, _terms, fast_value_and_grad,
-                      slice_value, stationarity_residual)
+from .augment import AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad, slice_value
 from .fields import ScalarField
 from .minimize import descend
 
@@ -47,27 +46,22 @@ class CriticalPointReport:
 
 
 def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
-                         n_seeds: int = 256, seed: int = 0, *,
-                         grad_tol: float = 1e-8, b_max: float = 20.0,
-                         max_iters: int = 3000, polish_iters: int = 2000
-                         ) -> list[CriticalPointReport]:
+                         n_seeds: int = 256, seed: int = 0) -> list[CriticalPointReport]:
     """Damped descent from seeded starts; one report per start, converged or not.
 
     Seeds draw theta uniformly from the field's box, a from [-2, 2] and b from
-    [-3, 3].  A report is converged only when the gradient norm reached
-    ``grad_tol`` with |b| <= ``b_max``; runs whose |b| exceeds the bound by a
-    margin are abandoned early (they are following the valley to infinity).
+    [-3, 3].  A report is converged only when the descent reached
+    ``Thresholds().grad_tol`` and :meth:`Thresholds.certifies` the end point;
+    runs whose |b| exceeds ``Thresholds().b_max`` by a margin are abandoned
+    early (they are following the valley to infinity).  The fast closures
+    never raise on an exponent guard, whatever the saturation policy.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    cfg = cfg or AugConfig()
-    if cfg.saturation_policy != POLICY_SATURATE:
-        # sweeps must not abort mid-run on an exponent guard
-        cfg = AugConfig(lam=cfg.lam, b_clamp=cfg.b_clamp,
-                        saturation_policy=POLICY_SATURATE)
-    value_fn, grad_fn = fast_value_and_grad(field, cfg)
+    thr = Thresholds()
+    value_fn, grad_fn = fast_value_and_grad(field, cfg or AugConfig())
     rng = random.Random(seed)
-    escape_at = b_max + B_ESCAPE_MARGIN
+    escape_at = thr.b_max + B_ESCAPE_MARGIN
 
     reports = []
     for index in range(n_seeds):
@@ -75,19 +69,16 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
         x0 = theta0 + [rng.uniform(*SEED_A_RANGE), rng.uniform(*SEED_B_RANGE)]
         res = descend(
             value_fn, grad_fn, x0,
-            grad_tol=grad_tol,
-            max_iters=max_iters,
-            polish_iters=polish_iters,
+            grad_tol=thr.grad_tol,
+            max_iters=3000,
+            polish_iters=2000,
             escape=lambda x: abs(x[-1]) > escape_at,
             clamp_lower=field.lower,
             clamp_upper=field.upper,
         )
         point = AugPoint(tuple(res.x[:field.dim]), res.x[field.dim], res.x[field.dim + 1])
         base_loss = field.value(point.theta, check_domain=False)
-        # same certificate as the trajectory classifier: a vanishing gradient
-        # inside the b window plus a vanishing a-stationarity residual
-        converged = (res.converged and abs(point.b) <= b_max
-                     and stationarity_residual(base_loss, point.b) <= grad_tol)
+        converged = res.converged and thr.certifies(res.grad_norm, base_loss, point.b)
         reports.append(CriticalPointReport(
             point=point,
             grad_norm=res.grad_norm,
@@ -101,23 +92,23 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
 
 
 def probe_infimum(field: ScalarField, theta: Sequence[float],
-                  cfg: AugConfig | None = None, *, b_max: float = 20.0,
-                  curve_samples: int = 257, polish_iters: int = 80) -> float:
+                  cfg: AugConfig | None = None) -> float:
     """Smallest augmented value reachable over (a, b) at fixed theta.
 
     Along a = exp(-b) the product a*exp(b) stays at 1 and the augmented loss
     collapses to L + lam*exp(-2b), which decays to L as b grows; the probe
-    samples that curve up to ``b_max``, includes the a=0 point (exact when
-    L = 0), then polishes with a short (a, b) descent.  The result always
-    lies in [L, L + lam*exp(-2*b_max)] up to rounding.
+    samples that curve at 257 points up to ``b_max`` of :class:`Thresholds`,
+    includes the a=0 point (exact when L = 0), then polishes with an 80-step
+    (a, b) descent.  The result always lies in [L, L + lam*exp(-2*b_max)] up
+    to rounding.
     """
     cfg = cfg or AugConfig()
+    b_max = Thresholds().b_max
     base = field.value(theta)
     best = base + base if base > 0.0 else 0.0  # a = 0 candidate: exactly 2L
     best_ab = (0.0, 0.0)
-    for i in range(curve_samples):
-        t = i / (curve_samples - 1)
-        b = b_max * t
+    for i in range(257):
+        b = b_max * (i / 256)
         a = math.exp(-b)
         v, _ = slice_value(base, a, b, cfg)
         if v < best:
@@ -131,7 +122,7 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
         return _terms(base, ab[0], ab[1], cfg.lam, cfg.b_clamp, ())[4]  # [dV/da, dV/db]
 
     res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
-                  max_iters=polish_iters, polish_iters=0,
+                  max_iters=80, polish_iters=0,
                   escape=lambda x: abs(x[1]) > b_max + B_ESCAPE_MARGIN)
     return min(best, res.value)
 

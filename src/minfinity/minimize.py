@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 ARMIJO_C = 0.1
 STALL_STEP = 1e-10
+STEP0 = 1.0  # first trial step
+STEP_CAP = 2.0  # longest displacement one trial step may make
 
 
 @dataclass
@@ -41,8 +43,6 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             grad_tol: float = 1e-8,
             max_iters: int = 3000,
             polish_iters: int = 2000,
-            step0: float = 1.0,
-            step_cap: float = 2.0,
             escape: Callable[[Sequence[float]], bool] | None = None,
             clamp_lower: Sequence[float] | None = None,
             clamp_upper: Sequence[float] | None = None) -> DescentResult:
@@ -54,7 +54,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
     """
     x = _project(list(map(float, x0)), clamp_lower, clamp_upper)
     v = value_fn(x)
-    step = step0
+    step = STEP0
     last_good = 1e-3
     iterations = 0
     stalled = False
@@ -70,7 +70,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             return DescentResult(x, v, gn, iterations, True)
         if escape is not None and escape(x):
             return DescentResult(x, v, gn, iterations, False, escaped=True)
-        s = min(step, step_cap / gn)
+        s = min(step, STEP_CAP / gn)
         accepted = False
         for _ in range(60):
             nx = _project([xi - s * gi for xi, gi in zip(x, g)],

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import IO, Callable, Sequence
 
-from .augment import (B_CLAMP, AugConfig, AugPoint, _terms, fast_kernel,
-                      stationarity_residual)
+from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
 from .fields import ScalarField
 
 CONVERGED = "converged-finite"
@@ -33,7 +32,6 @@ class OptimizerSpec:
     kind: str  # gd | momentum | adam
     step_size: float
     max_steps: int
-    grad_tol: float = 1e-8
     momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
@@ -46,23 +44,8 @@ class OptimizerSpec:
             raise ValueError("step_size must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.grad_tol <= 0.0 or self.eps <= 0.0:
-            raise ValueError("grad_tol and eps must be positive")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Classification constants separating the finite and divergent regimes.
-
-    ``loss_tol`` and ``a_tol`` also bound the base loss and ``|a|`` of every
-    converged report in the critical-points suite.
-    """
-
-    b_max: float = 20.0
-    a_tol: float = 1e-3
-    loss_tol: float = 1e-4
-    u_window: float = 0.1
-    grad_tol: float = 1e-8
+        if self.eps <= 0.0:
+            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,9 +163,9 @@ def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
     """Optimize the augmented loss from ``start``; never raises on overflow.
 
     theta is clamped to the field's box after every update (counted in
-    ``clamp_events``); a and b roam free.  The run stops at the gradient
-    tolerance, a completed divergence signature, a non-finite value, or the
-    step budget, and the trajectory is classified in place.
+    ``clamp_events``); a and b roam free.  The run stops at
+    ``thresholds.grad_tol``, a completed divergence signature, a non-finite
+    value, or the step budget, and the trajectory is classified in place.
     """
     return _run(field, fast_kernel(field, cfg or AugConfig()), start.theta, start.a, start.b,
                 spec, thresholds or Thresholds(), augmented=True)
@@ -221,6 +204,7 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
     """
     dim = field.dim
     update = _updater(spec, dim + 2)
+    diverging = thr.diverging  # bound once: checked every step
 
     start_theta, clamped = field.clamp(theta_start)
     # validated once: a clamped coordinate may be an int bound, and recorded
@@ -237,9 +221,8 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
         gn = math.sqrt(math.fsum([c * c for c in g])) if finite else math.inf
         if not finite:
             traj.saturation_events += 1
-        diverged = (augmented and x[dim + 1] >= thr.b_max and abs(u - 1.0) <= thr.u_window
-                    and abs(x[dim]) <= 10.0 * thr.a_tol)  # divergence signature complete
-        stop = not finite or gn <= spec.grad_tol or diverged or step >= spec.max_steps
+        diverged = augmented and diverging(x[dim], x[dim + 1], u)
+        stop = not finite or gn <= thr.grad_tol or diverged or step >= spec.max_steps
         if stop or _should_record(step):
             # every coordinate is a finite float: checked after each update.  A
             # plain run records the literal 0.0: each update keeps its a and b
@@ -276,13 +259,9 @@ def _sanitize(x: list[float]) -> list[float]:
 def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) -> OutcomeLabel:
     """Assign exactly one outcome from the recorded evidence.
 
-    converged-finite additionally demands that the stationarity residual
-    2*L*exp(b) is below the gradient tolerance.  At any true finite critical
-    point the auxiliary gradient at a = 0 equals -2*L*exp(b), so it must
-    vanish; without this check the quasi-frozen plateau toward b -> -inf
-    (where a balances at L*exp(b)/lam and every gradient component dips under
-    tolerance) would masquerade as finite convergence at a strictly positive
-    base loss.
+    At the last recorded point, converged-finite is
+    :meth:`Thresholds.certifies` and minimum-at-infinity is
+    :meth:`Thresholds.diverging` with b non-decreasing over the final quarter.
     """
     thr = thresholds or Thresholds()
     if not traj.points:
@@ -301,11 +280,9 @@ def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) 
     if not traj.augmented:
         kind = CONVERGED if gn <= thr.grad_tol else EXHAUSTED
         return OutcomeLabel(kind, **cert)
-    if (gn <= thr.grad_tol and abs(p.b) <= thr.b_max
-            and stationarity_residual(base, p.b) <= thr.grad_tol):
+    if thr.certifies(gn, base, p.b):
         return OutcomeLabel(CONVERGED, **cert)
-    if (p.b >= thr.b_max and abs(u - 1.0) <= thr.u_window
-            and abs(p.a) <= 10.0 * thr.a_tol and _b_monotone_tail(traj)):
+    if thr.diverging(p.a, p.b, u) and _b_monotone_tail(traj):
         return OutcomeLabel(AT_INFINITY, **cert)
     return OutcomeLabel(EXHAUSTED, **cert)
 

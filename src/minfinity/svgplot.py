@@ -16,14 +16,14 @@ _PALETTE = ["#1f77b4", "#2b8cbe", "#41ab5d", "#78c679", "#addd8e",
             "#fee391", "#fe9929", "#ec7014", "#cc4c02", "#8c2d04"]
 
 
-def default_levels(grid: ContourGrid, count: int = 9) -> list[float]:
+def default_levels(grid: ContourGrid) -> list[float]:
     """Deciles of the finite grid values; duplicates removed, order kept."""
     flat = sorted(v for row in grid.values for v in row if math.isfinite(v))
     if not flat:
         return []
     levels = []
-    for k in range(1, count + 1):
-        q = flat[min(len(flat) - 1, (k * len(flat)) // (count + 1))]
+    for k in range(1, 10):
+        q = flat[min(len(flat) - 1, (k * len(flat)) // 10)]
         if not levels or q > levels[-1]:
             levels.append(q)
     return levels

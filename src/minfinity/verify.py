@@ -15,10 +15,9 @@ from __future__ import annotations
 import random
 
 from . import augment, landscape
-from .augment import AugConfig, AugPoint
+from .augment import AugConfig, AugPoint, Thresholds
 from .differentiation import dual_gradient, fd_gradient
 from .fields import field_names, get_field
-from .optimize import Thresholds
 
 FD_TOL = 1e-6
 DUAL_TOL = 1e-12

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfinity import (AugConfig, AugPoint, SaturationError, eval_u, evaluate,
-                       field_names, get_field, gradient, probe_infimum)
+from minfinity import (AugConfig, AugPoint, SaturationError, Thresholds, eval_u,
+                       evaluate, field_names, get_field, gradient, probe_infimum)
 from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, fast_kernel,
                                fast_value_and_grad, slice_value)
 
@@ -220,6 +220,40 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AugPoint((1.0,), math.inf, 0.0)
     assert POLICY_SATURATE == AugConfig().saturation_policy
+
+
+# --- the certificate and the divergence signature -----------------------------
+
+def test_certificate_edges():
+    thr = Thresholds()
+    tol, b_max = thr.grad_tol, thr.b_max
+    assert thr.certifies(tol, 0.0, b_max) and thr.certifies(tol, 0.0, -b_max)
+    assert not thr.certifies(tol, 0.0, math.nextafter(b_max, math.inf))
+    assert not thr.certifies(tol, 0.0, math.nextafter(-b_max, -math.inf))
+    assert not thr.certifies(math.nextafter(tol, math.inf), 0.0, 0.0)
+    # the residual 2*L*exp(0) exactly at the tolerance, then one float above it
+    assert thr.certifies(0.0, tol / 2, 0.0)
+    assert not thr.certifies(0.0, math.nextafter(tol / 2, math.inf), 0.0)
+    # past exp's range the residual reads exp(b) at the clamp: no OverflowError
+    wide = Thresholds(b_max=1000.0)
+    assert wide.certifies(0.0, 0.0, 1000.0)
+    assert not wide.certifies(0.0, 1e-300, 1000.0)
+
+
+def test_divergence_signature_edges():
+    thr = Thresholds(u_window=0.25)  # dyadic: 1 +- u_window is exact
+    b_max, a_edge = thr.b_max, 10.0 * thr.a_tol
+    assert thr.diverging(a_edge, b_max, 1.25) and thr.diverging(-a_edge, b_max, 0.75)
+    assert not thr.diverging(0.0, math.nextafter(b_max, -math.inf), 1.0)
+    assert not thr.diverging(math.nextafter(a_edge, math.inf), b_max, 1.0)
+    assert not thr.diverging(0.0, b_max, math.nextafter(1.25, math.inf))
+    assert not thr.diverging(0.0, b_max, math.nextafter(0.75, -math.inf))
+
+
+def test_thresholds_reject_a_grad_tol_that_is_not_a_positive_real():
+    for tol in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grad_tol must be a positive real"):
+            Thresholds(grad_tol=tol)
 
 
 # --- fast closures against the validated path --------------------------------

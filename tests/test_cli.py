@@ -142,6 +142,40 @@ def test_env_seed_fallback(tmp_path):
     assert json.loads(r.stdout)["config"]["seed"] == 123
     r2 = run_cli(*args)
     assert json.loads(r2.stdout)["config"]["seed"] == 0
+    r3 = run_cli("verify", "--suite", "infimum", env_extra={"MINFINITY_SEED": "5"})
+    assert r3.returncode == 0
+    assert json.loads(r3.stdout)["seed"] == 5
+
+
+def test_config_file_seed_is_honoured(tmp_path):
+    args = ("optimize", "--field", "double-well-1d", "--start-mode", "seeded-random",
+            "--step-size", "0.01", "--max-steps", "100")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 7}))
+    r1 = run_cli(*args, "--config", str(path), "--out", str(tmp_path / "file"))
+    r2 = run_cli(*args, "--seed", "7", "--out", str(tmp_path / "flag"))
+    assert r1.returncode == r2.returncode == 0
+    assert json.loads((tmp_path / "file" / "summary.json").read_text())["config"]["seed"] == 7
+    assert ((tmp_path / "file" / "trajectory.csv").read_bytes()
+            == (tmp_path / "flag" / "trajectory.csv").read_bytes())
+    path.write_text(json.dumps({"seed": "7"}))
+    bad = run_cli(*args, "--config", str(path), "--out", str(tmp_path / "str"))
+    assert bad.returncode == 2
+    assert "seed must be an integer" in bad.stderr
+
+
+def test_grad_tol_both_stops_and_labels_the_run(tmp_path):
+    args = ("optimize", "--field", "quadratic-1d", "--theta", "3",
+            "--step-size", "0.1", "--max-steps", "1000")
+    r = run_cli(*args, "--grad-tol", "1e-4", "--out", str(tmp_path / "t"))
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["outcome"]["kind"] == "converged-finite"
+    assert doc["total_steps"] == 48
+    for tol in ("0", "inf"):  # inf would certify any point with |b| <= 20
+        bad = run_cli(*args, "--grad-tol", tol, "--out", str(tmp_path / tol))
+        assert bad.returncode == 2
+        assert "bad optimizer spec" in bad.stderr
 
 
 def test_compare_writes_paired_outputs(tmp_path):

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from minfinity import (AugConfig, ContourGrid, find_critical_points,
+from minfinity import (AugConfig, ContourGrid, eval_u, find_critical_points,
                        get_field, gradient, probe_infimum, sample_contour,
                        stationarity_scan)
+from minfinity.augment import POLICY_ERROR, POLICY_SATURATE
 from minfinity.svgplot import default_levels, render_svg
 
 CFG = AugConfig()
@@ -51,6 +52,19 @@ def test_violator_yields_zero_converged_reports():
     field = get_field("quadratic-plus-one-1d")
     reports = find_critical_points(field, CFG, n_seeds=64, seed=5)
     assert sum(r.converged for r in reports) == 0
+
+
+def test_finder_reports_do_not_depend_on_the_saturation_policy():
+    # with a clamp of 5 some runs end past it, where the validated routes would
+    # raise under the error policy; the fast closures never raise, so the
+    # policy changes nothing
+    for name in ("rastrigin-1d", "double-well-1d"):
+        field = get_field(name)
+        err, sat = (find_critical_points(field, AugConfig(b_clamp=5.0, saturation_policy=policy),
+                                         n_seeds=16, seed=2)
+                    for policy in (POLICY_ERROR, POLICY_SATURATE))
+        assert err == sat
+        assert any(eval_u(r.point.a, r.point.b, AugConfig(b_clamp=5.0))[1] for r in sat)
 
 
 def test_finder_rejects_bad_seed_count():

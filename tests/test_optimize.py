@@ -16,8 +16,8 @@ from minfinity.optimize import AT_INFINITY, CONVERGED, EXHAUSTED, FAILED
 CFG = AugConfig()
 
 
-def gd(step, steps, tol=1e-8):
-    return OptimizerSpec(kind="gd", step_size=step, max_steps=steps, grad_tol=tol)
+def gd(step, steps):
+    return OptimizerSpec(kind="gd", step_size=step, max_steps=steps)
 
 
 # --- smooth-bowl contraction, cross-checked by an independent loop ----------
@@ -39,7 +39,7 @@ def test_quadratic_descent_converges_to_certificate():
         db = 2.0 * (x * x) * (u - 1.0) * u
         dx = 2.0 * x * (1.0 + (u - 1.0) ** 2)
         gn = math.sqrt(dx * dx + da * da + db * db)
-        if gn <= spec.grad_tol:
+        if gn <= Thresholds().grad_tol:
             break
         x, a, b = x - 0.1 * dx, a - 0.1 * da, b - 0.1 * db
     p = traj.points[-1]

@@ -1,4 +1,5 @@
-"""Source guards: the log-space product and the floor slack are each written once."""
+"""Source guards: the log-space product, the floor slack and the default of
+each threshold are each written once."""
 import ast
 from pathlib import Path
 
@@ -29,3 +30,33 @@ def test_floor_slack_is_written_once():
     found = [name for name, node in _nodes()
              if isinstance(node, ast.Constant) and node.value == 1e-9]
     assert found == ["fields.py"]
+
+
+def _defaults(owner):
+    """(name, default node) of each defaulted parameter or class field of ``owner``."""
+    if isinstance(owner, ast.ClassDef):
+        return [(st.target.id, st.value) for st in owner.body
+                if isinstance(st, ast.AnnAssign) and st.value is not None]
+    args = owner.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [(arg.arg, d) for arg, d in pairs]
+
+
+def test_threshold_defaults_are_written_once():
+    # b_max = 20.0 and grad_tol = 1e-8 are defaults of Thresholds; every reader
+    # in the package takes them from a Thresholds instance.  descend keeps its
+    # own default only for outside callers that pass no tolerance (the
+    # benchmark's helper tests); every call in the package passes one
+    wanted = {"b_max": 20.0, "grad_tol": 1e-8}
+    found = [(name, owner.name, key) for name, owner in _nodes()
+             if isinstance(owner, (ast.ClassDef, ast.FunctionDef))
+             for key, d in _defaults(owner)
+             if key in wanted and isinstance(d, ast.Constant) and d.value == wanted[key]]
+    assert sorted(found) == [("augment.py", "Thresholds", "b_max"),
+                             ("augment.py", "Thresholds", "grad_tol"),
+                             ("minimize.py", "descend", "grad_tol")]
+    calls = [node for _, node in _nodes()
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "descend"]
+    assert len(calls) == 3 and all(any(k.arg == "grad_tol" for k in c.keywords) for c in calls)
