@@ -123,10 +123,23 @@ def _cmd_contour(args) -> int:
 # optimize / compare
 # ---------------------------------------------------------------------------
 
-_OPTIMIZER_KEYS = {"kind", "step_size", "max_steps", "grad_tol",
-                   "momentum", "beta1", "beta2", "eps"}
-_START_KEYS = {"mode", "theta", "a", "b", "index"}
-_TOP_KEYS = {"field", "lambda", "seed", "out_dir", "formats", "optimizer", "start"}
+_NUMBER = (int, float)  # exact types below: a JSON true or false is never a number
+_TYPES = {  # description -> test of a decoded JSON value
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in _NUMBER,
+    "a string": lambda v: type(v) is str,
+    "a list of numbers": lambda v: type(v) is list and all(type(t) in _NUMBER for t in v),
+    "a list of csv/json": lambda v: type(v) is list and all(f in ("csv", "json") for f in v),
+}
+# config-file key -> what its value must be; a nested table is a JSON object
+_OPTIMIZER_KEYS = {"kind": "a string", "step_size": "a number", "max_steps": "an integer",
+                   "grad_tol": "a number", "momentum": "a number", "beta1": "a number",
+                   "beta2": "a number", "eps": "a number"}
+_START_KEYS = {"mode": "a string", "theta": "a list of numbers", "a": "a number",
+               "b": "a number", "index": "an integer"}
+_TOP_KEYS = {"field": "a string", "lambda": "a number", "seed": "an integer",
+             "out_dir": "a string", "formats": "a list of csv/json",
+             "optimizer": _OPTIMIZER_KEYS, "start": _START_KEYS}
 
 
 def _load_config_file(path: str) -> dict:
@@ -137,20 +150,23 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    _reject_unknown(doc.get("optimizer", {}), _OPTIMIZER_KEYS, "config.optimizer")
-    _reject_unknown(doc.get("start", {}), _START_KEYS, "config.start")
+    _check_config(doc, _TOP_KEYS, "config")
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
+def _check_config(doc, table: dict, where: str) -> None:
+    """Reject unknown keys and values of the wrong type, naming the key."""
+    if type(doc) is not dict:
         raise UsageError(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(table)
     if unknown:
         raise UsageError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        want = table[key]
+        if isinstance(want, dict):
+            _check_config(value, want, f"{where}.{key}")
+        elif not _TYPES[want](value):
+            raise UsageError(f"{where}.{key} must be {want}, got {json.dumps(value)}")
 
 
 def _resolve_run_config(args) -> dict:
@@ -186,14 +202,9 @@ def _resolve_run_config(args) -> dict:
     merged["start"] = start
     if not merged["field"]:
         raise UsageError("a field name is required (flag --field or config key)")
-    if type(merged["seed"]) is not int:  # the file's seed reaches random.Random
-        raise UsageError(f"seed must be an integer, got {merged['seed']!r}")
     if merged["field"] not in field_names():
         raise UsageError(f"unknown field {merged['field']!r}; "
                          f"available: {', '.join(field_names())}")
-    if not isinstance(merged["formats"], list) or \
-            not set(merged["formats"]) <= {"csv", "json"}:
-        raise UsageError("formats must be a list drawn from ['csv', 'json']")
     return merged
 
 

@@ -3,7 +3,9 @@
 Every shipped field is normalized so its global minimum value is 0, except the
 deliberate convention breaker ``quadratic-plus-one-1d`` whose minimum is 1.
 Fields with strictly positive local minima register them in ``bad_minima`` so
-tests and sweeps can start exactly there.
+tests and sweeps can start exactly there.  All seven are plain literals built
+at import: ``double-well-1d`` carries the offset and minimizer that
+:func:`normalize` located, recorded as constants, so no field runs a descent.
 """
 from __future__ import annotations
 
@@ -164,8 +166,10 @@ RASTRIGIN_BAD_VALUE = 0.9949590570932916
 RASTRIGIN_BAD_X2 = 1.9899122337085493
 RASTRIGIN_BAD_VALUE2 = 3.979831190554087
 
-DOUBLE_WELL_OFFSET = -1.3054284837439158   # min of x^4 - 2x^2 + 0.3x
-DOUBLE_WELL_GLOBAL_X = -1.035578714088854
+# what normalize() of the raw x^4 - 2x^2 + 0.3x (offset 0) returns, bit for
+# bit; tests/test_fields.py re-derives both
+DOUBLE_WELL_OFFSET = -1.3054284837439163
+DOUBLE_WELL_GLOBAL_X = -1.0355787167512152
 DOUBLE_WELL_BAD_X = 0.9601495555191055
 DOUBLE_WELL_BAD_VALUE = 0.5995749647721786
 
@@ -234,113 +238,48 @@ def _one_plus_quadratic_grad(theta):
     return (2.0 * theta[0],)
 
 
-def _build_quadratic(dim: int) -> ScalarField:
-    return ScalarField(
-        name=f"quadratic-{dim}d",
-        dim=dim,
-        lower=(-10.0,) * dim,
-        upper=(10.0,) * dim,
-        raw_value=_quadratic,
-        raw_gradient=_quadratic_grad,
-        global_min=(0.0,) * dim,
-    )
-
-
-def _build_rastrigin(dim: int) -> ScalarField:
-    bad = [BadMinimum((RASTRIGIN_BAD_X,) * 1, RASTRIGIN_BAD_VALUE),
-           BadMinimum((RASTRIGIN_BAD_X2,) * 1, RASTRIGIN_BAD_VALUE2)]
-    if dim == 2:
-        bad = [
-            BadMinimum((RASTRIGIN_BAD_X, 0.0), RASTRIGIN_BAD_VALUE),
-            BadMinimum((0.0, RASTRIGIN_BAD_X), RASTRIGIN_BAD_VALUE),
-            BadMinimum((RASTRIGIN_BAD_X, RASTRIGIN_BAD_X),
-                       RASTRIGIN_BAD_VALUE + RASTRIGIN_BAD_VALUE),
-        ]
-    return ScalarField(
-        name=f"rastrigin-{dim}d",
-        dim=dim,
-        lower=(-5.12,) * dim,
-        upper=(5.12,) * dim,
-        raw_value=_rastrigin,
-        raw_gradient=_rastrigin_grad,
-        global_min=(0.0,) * dim,
-        bad_minima=tuple(bad),
-    )
-
-
-def _build_ackley() -> ScalarField:
-    return ScalarField(
-        name="ackley-2d",
-        dim=2,
-        lower=(-5.0, -5.0),
-        upper=(5.0, 5.0),
-        raw_value=_ackley,
-        raw_gradient=_ackley_grad,
-        global_min=(0.0, 0.0),
-        bad_minima=(
-            BadMinimum(ACKLEY_BAD_1, ACKLEY_BAD_VALUE_1),
-            BadMinimum((ACKLEY_BAD_1[1], ACKLEY_BAD_1[0]), ACKLEY_BAD_VALUE_1),
-            BadMinimum(ACKLEY_BAD_2, ACKLEY_BAD_VALUE_2),
-        ),
-    )
-
-
-def _build_double_well() -> ScalarField:
-    raw = ScalarField(
-        name="double-well-1d",
-        dim=1,
-        lower=(-2.0,),
-        upper=(2.0,),
-        raw_value=_double_well,
-        raw_gradient=_double_well_grad,
-    )
-    normalized = normalize(raw)
-    return replace(
-        normalized,
-        bad_minima=(BadMinimum((DOUBLE_WELL_BAD_X,), DOUBLE_WELL_BAD_VALUE),),
-    )
-
-
-def _build_violator() -> ScalarField:
+# every shipped field, declared once and built at import, in registry order;
+# positional: name, dim, lower, upper, raw_value, raw_gradient
+_FIELDS: dict[str, ScalarField] = {f.name: f for f in (
+    ScalarField("quadratic-1d", 1, (-10.0,), (10.0,), _quadratic, _quadratic_grad,
+                global_min=(0.0,)),
+    ScalarField("quadratic-2d", 2, (-10.0, -10.0), (10.0, 10.0), _quadratic, _quadratic_grad,
+                global_min=(0.0, 0.0)),
+    ScalarField("rastrigin-1d", 1, (-5.12,), (5.12,), _rastrigin, _rastrigin_grad,
+                global_min=(0.0,),
+                bad_minima=(BadMinimum((RASTRIGIN_BAD_X,), RASTRIGIN_BAD_VALUE),
+                            BadMinimum((RASTRIGIN_BAD_X2,), RASTRIGIN_BAD_VALUE2))),
+    ScalarField("rastrigin-2d", 2, (-5.12, -5.12), (5.12, 5.12), _rastrigin, _rastrigin_grad,
+                global_min=(0.0, 0.0),
+                bad_minima=(BadMinimum((RASTRIGIN_BAD_X, 0.0), RASTRIGIN_BAD_VALUE),
+                            BadMinimum((0.0, RASTRIGIN_BAD_X), RASTRIGIN_BAD_VALUE),
+                            BadMinimum((RASTRIGIN_BAD_X, RASTRIGIN_BAD_X),
+                                       RASTRIGIN_BAD_VALUE + RASTRIGIN_BAD_VALUE))),
+    ScalarField("ackley-2d", 2, (-5.0, -5.0), (5.0, 5.0), _ackley, _ackley_grad,
+                global_min=(0.0, 0.0),
+                bad_minima=(BadMinimum(ACKLEY_BAD_1, ACKLEY_BAD_VALUE_1),
+                            BadMinimum((ACKLEY_BAD_1[1], ACKLEY_BAD_1[0]), ACKLEY_BAD_VALUE_1),
+                            BadMinimum(ACKLEY_BAD_2, ACKLEY_BAD_VALUE_2))),
+    ScalarField("double-well-1d", 1, (-2.0,), (2.0,), _double_well, _double_well_grad,
+                offset=DOUBLE_WELL_OFFSET, global_min=(DOUBLE_WELL_GLOBAL_X,),
+                bad_minima=(BadMinimum((DOUBLE_WELL_BAD_X,), DOUBLE_WELL_BAD_VALUE),)),
     # min value is 1, deliberately breaking the zero-minimum convention;
     # never normalized, used by negative tests only
-    return ScalarField(
-        name="quadratic-plus-one-1d",
-        dim=1,
-        lower=(-10.0,),
-        upper=(10.0,),
-        raw_value=_one_plus_quadratic,
-        raw_gradient=_one_plus_quadratic_grad,
-        zero_min=False,
-        global_min=(0.0,),
-        bad_minima=(BadMinimum((0.0,), 1.0),),
-    )
-
-
-_BUILDERS: dict[str, Callable[[], ScalarField]] = {
-    "quadratic-1d": lambda: _build_quadratic(1),
-    "quadratic-2d": lambda: _build_quadratic(2),
-    "rastrigin-1d": lambda: _build_rastrigin(1),
-    "rastrigin-2d": lambda: _build_rastrigin(2),
-    "ackley-2d": _build_ackley,
-    "double-well-1d": _build_double_well,
-    "quadratic-plus-one-1d": _build_violator,
-}
-
-_CACHE: dict[str, ScalarField] = {}
+    ScalarField("quadratic-plus-one-1d", 1, (-10.0,), (10.0,),
+                _one_plus_quadratic, _one_plus_quadratic_grad,
+                zero_min=False, global_min=(0.0,), bad_minima=(BadMinimum((0.0,), 1.0),)),
+)}
 
 
 def field_names() -> list[str]:
-    return list(_BUILDERS)
+    return list(_FIELDS)
 
 
 def zero_min_field_names() -> list[str]:
-    return [n for n in _BUILDERS if n != "quadratic-plus-one-1d"]
+    return [name for name, f in _FIELDS.items() if f.zero_min]
 
 
 def get_field(name: str) -> ScalarField:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown field {name!r}; available: {', '.join(_BUILDERS)}")
-    if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
-    return _CACHE[name]
+    if name not in _FIELDS:
+        raise KeyError(f"unknown field {name!r}; available: {', '.join(_FIELDS)}")
+    return _FIELDS[name]

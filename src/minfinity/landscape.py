@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad, slice_value
+from .augment import (B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
+                      slice_value)
 from .fields import ScalarField
 from .minimize import descend
 
@@ -148,7 +149,10 @@ class ContourGrid:
                     at = (i, j)
         i, j = at
         a, b = self.a_axis[i], self.b_axis[j]
-        u = a * math.exp(b)
+        try:
+            u = a * math.exp(b)  # kept wherever finite: contour.json bytes rest on it
+        except OverflowError:  # exp(b) alone overflows; log-space u, clamped as in slice_value
+            u = _terms(0.0, a, b, self.lam, B_CLAMP)[2]
         return {
             "i": i, "j": j, "a": a, "b": b, "value": best,
             "u_deviation": abs(u - 1.0),

@@ -22,6 +22,11 @@ the repository README:
   against the stall value 0.5*ln(1/(1e-3*L)) = 3.456.  After 1e5 steps
   momentum at 1e-3 reaches 3.8 and adam at 1e-2 reaches 4.1.  Reaching
   b = 20 by plain gradient descent would need roughly exp(80)/8 steps.
+  A second reason holds whatever the step count: on the valley
+  |grad V| ~ 2*lam*exp(-2b), so a run stops on the gradient test once
+  b >= 0.5*ln(2*lam/grad_tol) = 9.557 (lam = 1, grad_tol = 1e-8), before it
+  reaches b_max = 20; minimum-at-infinity is reachable only if
+  grad_tol < 2*lam*exp(-2*b_max) ~ 8.5e-18.
 """
 import random
 import subprocess

@@ -1,9 +1,11 @@
 """End-to-end CLI checks: exit codes, file outputs, reproducibility."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from cli_env import cli_env
 
 GOLDEN = Path(__file__).parent / "golden" / "summary.json"
@@ -71,6 +73,18 @@ def test_contour_zero_slice_reports_plateau_column(tmp_path):
     assert doc["grid_min"]["value"] == 0.0
 
 
+def test_contour_grid_min_where_exp_b_overflows(tmp_path):
+    # a*exp(b) is finite at a = 1e-311, b = 716, but exp(716) alone is not
+    out = tmp_path / "big-b"
+    r = run_cli("contour", "--l-slice", "1", "--a-range", "1e-311", "2e-311",
+                "--b-range", "710", "716", "--resolution", "5", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    grid_min = json.loads((out / "contour.json").read_text())["grid_min"]
+    assert (grid_min["i"], grid_min["j"]) == (0, 4)
+    u = math.exp(math.log(1e-311) + 716.0)  # about 0.90
+    assert grid_min["u_deviation"] == pytest.approx(1.0 - u, rel=1e-9)
+
+
 def test_contour_resolution_precondition(tmp_path):
     r = run_cli("contour", "--resolution", "1", "--out", str(tmp_path / "x"))
     assert r.returncode == 2
@@ -127,6 +141,39 @@ def test_optimize_rejects_unknown_config_keys(tmp_path):
     r = run_cli("optimize", "--config", str(path))
     assert r.returncode == 2
     assert "unknown" in r.stderr
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"lambda": "x"}, "config.lambda"),
+    ({"start": {"a": [1]}}, "config.start.a"),
+    ({"start": {"theta": 5}}, "config.start.theta"),
+    ({"out_dir": 5}, "config.out_dir"),
+    ({"start": {"theta": "1"}}, "config.start.theta"),
+    ({"optimizer": {"max_steps": 2.5}}, "config.optimizer.max_steps"),
+    ({"lambda": True}, "config.lambda"),
+    ({"formats": [["csv"]]}, "config.formats"),
+])
+def test_optimize_rejects_config_values_of_the_wrong_type(tmp_path, config, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": "quadratic-1d", **config}))
+    r = run_cli("optimize", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert f"{key} must be" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_optimize_config_echoes_valid_values_unchanged(tmp_path):
+    # an integer is a number; the echoed config keeps it as the file wrote it
+    config = {"field": "quadratic-1d", "lambda": 1, "seed": 3,
+              "optimizer": {"step_size": 0.1, "max_steps": 10},
+              "start": {"theta": [1], "index": 0}}
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(config))
+    r = run_cli("optimize", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
+    echoed = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
+    assert echoed["optimizer"] == {"kind": "gd", "step_size": 0.1, "max_steps": 10}
+    assert json.dumps([echoed["lambda"], echoed["seed"], echoed["start"]]) \
+        == '[1, 3, {"index": 0, "mode": "explicit", "theta": [1]}]'
 
 
 def test_optimize_missing_field_is_usage_error():

@@ -1,14 +1,15 @@
 """Field registry: values, gradients, normalization, domain handling."""
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from minfinity import (DimensionError, DomainError, NormalizationError,
                        field_names, get_field, normalize, zero_min_field_names)
 from minfinity.differentiation import fd_gradient
-from minfinity.fields import (DOUBLE_WELL_OFFSET, RASTRIGIN_BAD_VALUE,
-                              RASTRIGIN_BAD_X)
+from minfinity.fields import (DOUBLE_WELL_GLOBAL_X, DOUBLE_WELL_OFFSET,
+                              RASTRIGIN_BAD_VALUE, RASTRIGIN_BAD_X)
 
 ALL_FIELDS = field_names()
 
@@ -63,10 +64,15 @@ def test_normalize_quadratic_offset_is_zero():
     assert abs(renorm.offset) <= 1e-9
 
 
-def test_double_well_offset_matches_grid_bisection_oracle():
+def test_double_well_constants_are_what_normalize_returns():
+    # the shipped field is a literal; normalize is the reference that located
+    # its offset and minimizer, so re-deriving them must agree bit for bit
     field = get_field("double-well-1d")
-    assert field.offset == pytest.approx(DOUBLE_WELL_OFFSET, abs=1e-9)
-    assert field.value(field.global_min) <= 1e-9
+    located = normalize(replace(field, offset=0.0, global_min=None))
+    assert located.offset.hex() == field.offset.hex() == DOUBLE_WELL_OFFSET.hex()
+    assert [x.hex() for x in located.global_min] == [x.hex() for x in field.global_min] \
+        == [DOUBLE_WELL_GLOBAL_X.hex()]
+    assert field.value(field.global_min) == 0.0
 
 
 def test_normalize_reports_failure():
@@ -146,7 +152,7 @@ def test_clamp_reports_event():
 
 
 def test_fields_are_shareable_values():
-    # construction is cached; evaluation never mutates
+    # built once at import; evaluation never mutates
     a = get_field("ackley-2d")
     b = get_field("ackley-2d")
     assert a is b

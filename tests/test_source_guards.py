@@ -1,5 +1,5 @@
 """Source guards: the log-space product, the floor slack and the default of
-each threshold are each written once."""
+each threshold are each written once, and no field is built by a descent."""
 import ast
 from pathlib import Path
 
@@ -60,3 +60,19 @@ def test_threshold_defaults_are_written_once():
     calls = [node for _, node in _nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "descend"]
     assert len(calls) == 3 and all(any(k.arg == "grad_tol" for k in c.keywords) for c in calls)
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+
+def test_no_field_is_built_by_a_descent():
+    # every field is a literal: in fields.py descend runs only inside
+    # normalize, the reference that located the recorded double-well
+    # constants, and nothing in the package calls normalize
+    tree = ast.parse((SRC / "fields.py").read_text())
+    normalize = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "normalize")
+    inside = sum(_calls(node, "descend") for node in ast.walk(normalize))
+    assert inside >= 1 and sum(_calls(node, "descend") for node in ast.walk(tree)) == inside
+    assert [name for name, node in _nodes() if _calls(node, "normalize")] == []
