@@ -35,17 +35,18 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise UsageError(f"MINFINITY_SEED must be an integer, got {raw!r}") from None
 
 
-def _dump(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json(doc: dict) -> str:
+    """The text of every JSON document the CLI prints or writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(out_dir: str, name: str, text: str) -> None:
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        os.makedirs(out_dir or ".", exist_ok=True)
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
@@ -68,7 +69,7 @@ def _cmd_eval(args) -> int:
     point = AugPoint(tuple(args.theta), args.a, args.b)
     result = augment.evaluate(field, point, cfg)
     grad = augment.gradient(field, point, cfg)
-    _dump({
+    sys.stdout.write(_json({
         "field": field.name,
         "theta": list(point.theta),
         "a": point.a,
@@ -80,7 +81,7 @@ def _cmd_eval(args) -> int:
         "saturated": bool(result.saturated or grad.saturated),
         "config": {"lambda": cfg.lam, "b_clamp": cfg.b_clamp,
                    "saturation_policy": cfg.saturation_policy},
-    })
+    }))
     return EXIT_OK
 
 
@@ -104,18 +105,14 @@ def _cmd_contour(args) -> int:
         "a_range": list(args.a_range), "b_range": list(args.b_range),
         "resolution": args.resolution, "svg": bool(args.svg),
     }
-    csv_lines = []
-    for row in grid.values:
-        csv_lines.append(",".join(repr(v) for v in row))
-    _write_text(os.path.join(args.out, "contour.csv"), "\n".join(csv_lines) + "\n")
-    _write_text(os.path.join(args.out, "contour.json"),
-                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, "contour.csv",
+                "".join(",".join(map(repr, row)) + "\n" for row in grid.values))
+    _write_text(args.out, "contour.json", _json(doc))
     if args.svg:
-        levels = args.levels if args.levels else None
-        _write_text(os.path.join(args.out, "contour.svg"),
-                    svgplot.render_svg(grid, levels))
-    _dump({"written": sorted(os.listdir(args.out)), "out": args.out,
-           "interior_minima_count": len(minima), "grid_min": doc["grid_min"]})
+        _write_text(args.out, "contour.svg", svgplot.render_svg(grid, args.levels or None))
+    sys.stdout.write(_json({"written": sorted(os.listdir(args.out)), "out": args.out,
+                            "interior_minima_count": len(minima),
+                            "grid_min": doc["grid_min"]}))
     return EXIT_OK
 
 
@@ -181,7 +178,8 @@ def _resolve_run_config(args) -> dict:
     merged = {
         "field": args.field or doc.get("field"),
         "lambda": args.lam if args.lam is not None else doc.get("lambda", 1.0),
-        "seed": args.seed if args.seed is not None else doc.get("seed", _default_seed()),
+        "seed": (args.seed if args.seed is not None
+                 else doc["seed"] if "seed" in doc else _default_seed()),
         "out_dir": args.out or doc.get("out_dir", "runs/latest"),
         "formats": doc.get("formats", ["csv", "json"]),
     }
@@ -243,42 +241,39 @@ def _spec_from(opt: dict) -> tuple[OptimizerSpec, Thresholds]:
         raise UsageError(f"bad optimizer spec: {exc}")
 
 
-def _cmd_optimize(args) -> int:
+def _run_setup(args) -> tuple:
+    """(config, field, spec, thresholds, start, AugConfig) of an optimize or compare run."""
     config = _resolve_run_config(args)
     field = get_field(config["field"])
     spec, thr = _spec_from(config["optimizer"])
     start = _resolve_start(field, config["start"], config["seed"])
-    cfg = AugConfig(lam=config["lambda"])
-    traj = optimize.run_optimizer(field, start, spec, cfg, thr)
+    return config, field, spec, thr, start, AugConfig(lam=config["lambda"])
 
-    out_dir = config["out_dir"]
+
+def _write_trajectory(config: dict, name: str, traj: optimize.Trajectory) -> None:
     if "csv" in config["formats"]:
         buf = io.StringIO()
         traj.write_csv(buf)
-        _write_text(os.path.join(out_dir, "trajectory.csv"), buf.getvalue())
+        _write_text(config["out_dir"], name, buf.getvalue())
+
+
+def _cmd_optimize(args) -> int:
+    config, field, spec, thr, start, cfg = _run_setup(args)
+    traj = optimize.run_optimizer(field, start, spec, cfg, thr)
+    _write_trajectory(config, "trajectory.csv", traj)
     if "json" in config["formats"]:
-        _write_text(os.path.join(out_dir, "summary.json"),
-                    optimize.summary_json(traj, config))
-    _dump({"outcome": traj.outcome.as_dict(), "out_dir": out_dir,
-           "total_steps": traj.total_steps, "config": config})
+        _write_text(config["out_dir"], "summary.json", optimize.summary_json(traj, config))
+    sys.stdout.write(_json({"outcome": traj.outcome.as_dict(), "out_dir": config["out_dir"],
+                            "total_steps": traj.total_steps, "config": config}))
     return EXIT_NUMERIC if traj.outcome.kind == optimize.FAILED else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    config = _resolve_run_config(args)
-    field = get_field(config["field"])
-    spec, thr = _spec_from(config["optimizer"])
-    start = _resolve_start(field, config["start"], config["seed"])
-    cfg = AugConfig(lam=config["lambda"])
+    config, field, spec, thr, start, cfg = _run_setup(args)
     plain, augmented = optimize.compare_baseline(
         field, start.theta, spec, cfg, thr, a_start=start.a, b_start=start.b)
-
-    out_dir = config["out_dir"]
-    for name, traj in (("plain", plain), ("augmented", augmented)):
-        if "csv" in config["formats"]:
-            buf = io.StringIO()
-            traj.write_csv(buf)
-            _write_text(os.path.join(out_dir, f"trajectory_{name}.csv"), buf.getvalue())
+    _write_trajectory(config, "trajectory_plain.csv", plain)
+    _write_trajectory(config, "trajectory_augmented.csv", augmented)
     doc = {
         "field": field.name,
         "config": config,
@@ -286,9 +281,8 @@ def _cmd_compare(args) -> int:
         "augmented": augmented.summary(),
     }
     if "json" in config["formats"]:
-        _write_text(os.path.join(out_dir, "compare.json"),
-                    json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _dump(doc)
+        _write_text(config["out_dir"], "compare.json", _json(doc))
+    sys.stdout.write(_json(doc))
     failed = optimize.FAILED in (plain.outcome.kind, augmented.outcome.kind)
     return EXIT_NUMERIC if failed else EXIT_OK
 
@@ -298,15 +292,14 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "critical-points" and args.seeds:
-        kwargs["n_seeds"] = args.seeds
+    if args.seeds is not None and args.suite not in ("critical-points", "all"):
+        raise UsageError("--seeds applies to the critical-points and all suites only")
+    n_seeds = verify.FINDER_SEEDS if args.seeds is None else args.seeds
     seed = args.seed if args.seed is not None else _default_seed()
-    report = verify.run_suite(args.suite, seed, **kwargs)
+    report = verify.run_suite(args.suite, seed, n_seeds)  # raises on n_seeds < 1
     if args.out:
-        _write_text(os.path.join(args.out, "verify.json"),
-                    json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _dump(report)
+        _write_text(args.out, "verify.json", _json(report))
+    sys.stdout.write(_json(report))
     return EXIT_OK if report["violations_total"] == 0 else EXIT_VIOLATION
 
 
@@ -368,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=list(verify.SUITES), default="all")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--seeds", type=int, default=None,
-                       help="finder starts per field (critical-points suite)")
+                       help="finder starts per field, at least 1 "
+                            "(critical-points and all suites)")
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
@@ -379,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
+    except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FieldError, SaturationError) as exc:

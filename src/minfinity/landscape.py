@@ -28,22 +28,9 @@ class CriticalPointReport:
     point: AugPoint
     grad_norm: float
     base_loss: float
-    a_value: float
     seed_index: int
     converged: bool
     iterations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "theta": list(self.point.theta),
-            "a": self.point.a,
-            "b": self.point.b,
-            "grad_norm": self.grad_norm,
-            "base_loss": self.base_loss,
-            "seed_index": self.seed_index,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
 
 def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
@@ -84,7 +71,6 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             point=point,
             grad_norm=res.grad_norm,
             base_loss=base_loss,
-            a_value=point.a,
             seed_index=index,
             converged=converged,
             iterations=res.iterations,
@@ -179,21 +165,24 @@ def sample_contour(l_slice: float, lam: float = 1.0,
                    b_range: tuple[float, float] = (-2.0, 4.0),
                    resolution: int | tuple[int, int] = 101,
                    cfg: AugConfig | None = None) -> ContourGrid:
-    """Dense evaluation of the augmented loss with the base frozen at l_slice."""
+    """Dense evaluation of the augmented loss with the base frozen at l_slice.
+
+    ``cfg`` supplies the clamp and saturation policy; its ``lam`` must equal
+    ``lam``, the value the grid records.
+    """
     if isinstance(resolution, int):
         na = nb = resolution
     else:
         na, nb = resolution
     if na < 2 or nb < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    if l_slice < 0.0:
-        raise ValueError("l_slice must be nonnegative")
+    if not (math.isfinite(l_slice) and l_slice >= 0.0):
+        raise ValueError("l_slice must be finite and nonnegative")
     if not all(map(math.isfinite, (*a_range, *b_range))):
         raise ValueError("ranges must be finite")
     cfg = cfg or AugConfig(lam=lam)
     if cfg.lam != lam:
-        cfg = AugConfig(lam=lam, b_clamp=cfg.b_clamp,
-                        saturation_policy=cfg.saturation_policy)
+        raise ValueError(f"lam {lam!r} disagrees with cfg.lam {cfg.lam!r}")
     a_axis = _axis(a_range[0], a_range[1], na)
     b_axis = _axis(b_range[0], b_range[1], nb)
     values = []
@@ -212,22 +201,13 @@ def sample_contour(l_slice: float, lam: float = 1.0,
 def stationarity_scan(grid: ContourGrid) -> list[tuple[int, int]]:
     """All interior cells weakly minimal against their 8 neighbors, row-major."""
     V = grid.values
-    na = len(grid.a_axis)
     nb = len(grid.b_axis)
     found = []
-    for i in range(1, na - 1):
+    for i in range(1, len(grid.a_axis) - 1):
+        up, row, down = V[i - 1], V[i], V[i + 1]
         for j in range(1, nb - 1):
-            c = V[i][j]
-            minimal = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    if V[i + di][j + dj] < c:
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-            if minimal:
+            c = row[j]
+            if not (up[j - 1] < c or up[j] < c or up[j + 1] < c or row[j - 1] < c
+                    or row[j + 1] < c or down[j - 1] < c or down[j] < c or down[j + 1] < c):
                 found.append((i, j))
     return found

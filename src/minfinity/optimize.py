@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import IO, Callable, Sequence
 
 from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
@@ -58,14 +58,7 @@ class OutcomeLabel:
     final_grad_norm: float
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "final_a": self.final_a,
-            "final_b": self.final_b,
-            "final_u": self.final_u,
-            "final_base_loss": self.final_base_loss,
-            "final_grad_norm": self.final_grad_norm,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -24,6 +24,7 @@ DUAL_TOL = 1e-12
 INFIMUM_TOL = 1e-3
 
 SUITES = ("grad-check", "critical-points", "infimum", "all")
+FINDER_SEEDS = 256  # finder starts per field in the critical-points sweep
 
 
 def rel_err(x: float, y: float) -> float:
@@ -36,14 +37,14 @@ def _sample_point(field, rng) -> AugPoint:
                     rng.uniform(*landscape.SEED_B_RANGE))
 
 
-def grad_check_suite(seed: int = 0, n_points: int = 1000, lam: float = 1.0,
+def grad_check_suite(seed: int = 0, n_points: int = 1000,
                      fields: list[str] | None = None) -> dict:
-    cfg = AugConfig(lam=lam)
+    cfg = AugConfig()
     checks = []
     for name in fields or field_names():
         field = get_field(name)
         rng = random.Random(seed)
-        lifted = augment.lifted_loss(field, lam)
+        lifted = augment.lifted_loss(field, cfg.lam)
 
         def flat_value(x, _f=field, _cfg=cfg):
             p = AugPoint(tuple(x[:_f.dim]), x[_f.dim], x[_f.dim + 1])
@@ -83,9 +84,9 @@ def grad_check_suite(seed: int = 0, n_points: int = 1000, lam: float = 1.0,
     return _wrap("grad-check", seed, checks)
 
 
-def critical_point_suite(seed: int = 0, n_seeds: int = 256, lam: float = 1.0,
+def critical_point_suite(seed: int = 0, n_seeds: int = FINDER_SEEDS,
                          fields: list[str] | None = None) -> dict:
-    cfg = AugConfig(lam=lam)
+    cfg = AugConfig()
     thr = Thresholds()
     checks = []
     for name in fields or field_names():
@@ -93,9 +94,9 @@ def critical_point_suite(seed: int = 0, n_seeds: int = 256, lam: float = 1.0,
         reports = landscape.find_critical_points(field, cfg, n_seeds=n_seeds, seed=seed)
         converged = [r for r in reports if r.converged]
         bad = [r for r in converged
-               if r.base_loss > thr.loss_tol or abs(r.a_value) > thr.a_tol]
+               if r.base_loss > thr.loss_tol or abs(r.point.a) > thr.a_tol]
         worst_loss = max((r.base_loss for r in converged), default=0.0)
-        worst_a = max((abs(r.a_value) for r in converged), default=0.0)
+        worst_a = max((abs(r.point.a) for r in converged), default=0.0)
         checks.append({
             "name": f"critical-points:{name}",
             "seeds": n_seeds,
@@ -110,9 +111,9 @@ def critical_point_suite(seed: int = 0, n_seeds: int = 256, lam: float = 1.0,
     return _wrap("critical-points", seed, checks)
 
 
-def infimum_suite(seed: int = 0, n_points: int = 100, lam: float = 1.0,
+def infimum_suite(seed: int = 0, n_points: int = 100,
                   fields: list[str] | None = None) -> dict:
-    cfg = AugConfig(lam=lam)
+    cfg = AugConfig()
     checks = []
     for name in fields or field_names():
         field = get_field(name)
@@ -137,15 +138,19 @@ def infimum_suite(seed: int = 0, n_points: int = 100, lam: float = 1.0,
     return _wrap("infimum", seed, checks)
 
 
-def run_suite(suite: str, seed: int = 0, **kwargs) -> dict:
+def run_suite(suite: str, seed: int = 0, n_seeds: int = FINDER_SEEDS) -> dict:
+    """One suite, or all three; ``n_seeds`` sizes the critical-points sweep."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     if suite == "grad-check":
-        return grad_check_suite(seed, **kwargs)
+        return grad_check_suite(seed)
     if suite == "critical-points":
-        return critical_point_suite(seed, **kwargs)
+        return critical_point_suite(seed, n_seeds)
     if suite == "infimum":
-        return infimum_suite(seed, **kwargs)
+        return infimum_suite(seed)
     if suite == "all":
-        parts = [grad_check_suite(seed), critical_point_suite(seed), infimum_suite(seed)]
+        parts = [grad_check_suite(seed), critical_point_suite(seed, n_seeds),
+                 infimum_suite(seed)]
         checks = [c for p in parts for c in p["checks"]]
         return _wrap("all", seed, checks)
     raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")

@@ -90,6 +90,14 @@ def test_contour_resolution_precondition(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("l_slice", ["nan", "inf"])
+def test_contour_rejects_a_non_finite_slice(tmp_path, l_slice):
+    out = tmp_path / l_slice
+    r = run_cli("contour", "--l-slice", l_slice, "--out", str(out))
+    assert r.returncode == 2
+    assert "l_slice" in r.stderr and not out.exists()
+
+
 def test_contour_unwritable_output():
     r = run_cli("contour", "--out", "/proc/definitely/not/writable")
     assert r.returncode == 4
@@ -194,6 +202,20 @@ def test_env_seed_fallback(tmp_path):
     assert json.loads(r3.stdout)["seed"] == 5
 
 
+def test_malformed_env_seed_is_a_usage_error(tmp_path):
+    bad = {"MINFINITY_SEED": "abc"}
+    r = run_cli("verify", "--suite", "infimum", env_extra=bad)
+    assert r.returncode == 2
+    assert "MINFINITY_SEED" in r.stderr and "Traceback" not in r.stderr
+    assert run_cli("verify", "--suite", "infimum", "--seed", "1", env_extra=bad).returncode == 0
+    # the variable is read only when neither the flag nor the config file sets a seed
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 7}))
+    r = run_cli("optimize", "--field", "quadratic-1d", "--theta", "1", "--max-steps", "10",
+                "--config", str(path), "--out", str(tmp_path / "o"), env_extra=bad)
+    assert r.returncode == 0, r.stderr
+
+
 def test_config_file_seed_is_honoured(tmp_path):
     args = ("optimize", "--field", "double-well-1d", "--start-mode", "seeded-random",
             "--step-size", "0.01", "--max-steps", "100")
@@ -262,6 +284,26 @@ def test_verify_critical_points_small_sweep():
     r = run_cli("verify", "--suite", "critical-points", "--seeds", "16", "--seed", "3")
     assert r.returncode == 0
     assert json.loads(r.stdout)["violations_total"] == 0
+
+
+def test_verify_all_passes_the_seed_count_to_the_finder():
+    r = run_cli("verify", "--suite", "all", "--seeds", "2", "--seed", "3")
+    assert r.returncode == 0
+    finder = [c for c in json.loads(r.stdout)["checks"]
+              if c["name"].startswith("critical-points:")]
+    assert len(finder) == 7 and all(c["seeds"] == 2 for c in finder)
+
+
+@pytest.mark.parametrize("args", [
+    ("--suite", "critical-points", "--seeds", "0"),
+    ("--suite", "all", "--seeds", "-1"),
+    ("--suite", "grad-check", "--seeds", "4"),
+    ("--suite", "infimum", "--seeds", "4"),
+])
+def test_verify_rejects_a_seed_count_it_cannot_use(args):
+    r = run_cli("verify", *args)
+    assert r.returncode == 2
+    assert "seeds" in r.stderr and r.stdout == ""
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path):

@@ -22,7 +22,7 @@ def test_quadratic_critical_points_cluster_at_the_global_minimum():
     assert len(converged) >= 24
     for r in converged:
         assert abs(r.point.theta[0]) <= 1e-4
-        assert abs(r.a_value) <= 1e-3
+        assert abs(r.point.a) <= 1e-3
         assert r.base_loss <= 1e-8
         assert abs(r.point.b) <= 20.0
     # b is free on the critical manifold: no clustering expected there
@@ -44,7 +44,7 @@ def test_converged_reports_self_certify_through_public_gradient():
     for r in converged:
         g = gradient(field, r.point, CFG, check_domain=False)
         assert g.norm() <= 1e-8
-        assert r.base_loss <= 1e-4 and abs(r.a_value) <= 1e-3
+        assert r.base_loss <= 1e-4 and abs(r.point.a) <= 1e-3
 
 
 def test_violator_yields_zero_converged_reports():
@@ -166,6 +166,16 @@ def test_contour_validation():
         sample_contour(-1.0, 1.0)
     with pytest.raises(ValueError):
         sample_contour(1.0, 1.0, b_range=(0.0, math.inf))
+    for l_slice in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sample_contour(l_slice, 1.0)
+
+
+def test_contour_rejects_a_config_lambda_that_disagrees():
+    # the grid records lam; a cfg with another lam would sample a different
+    # surface than the one it names
+    with pytest.raises(ValueError):
+        sample_contour(0.7, cfg=AugConfig(lam=0.3))
 
 
 def test_grid_axes_hit_endpoints_exactly():

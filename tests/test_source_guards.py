@@ -1,5 +1,6 @@
-"""Source guards: the log-space product, the floor slack and the default of
-each threshold are each written once, and no field is built by a descent."""
+"""Source guards: the log-space product, the floor slack, the default of each
+threshold and the JSON document format are each written once, and no field is
+built by a descent."""
 import ast
 from pathlib import Path
 
@@ -76,3 +77,17 @@ def test_no_field_is_built_by_a_descent():
     inside = sum(_calls(node, "descend") for node in ast.walk(normalize))
     assert inside >= 1 and sum(_calls(node, "descend") for node in ast.walk(tree)) == inside
     assert [name for name, node in _nodes() if _calls(node, "normalize")] == []
+
+
+def _is_indented_dumps(node) -> bool:
+    return _calls(node, "dumps") and any(k.arg == "indent" for k in node.keywords)
+
+
+def test_json_document_format_is_written_once():
+    # indented, key-sorted JSON text comes from cli._json (every document the
+    # CLI prints or writes) and optimize.summary_json (the library's summary)
+    found = [(name, owner.name) for name, owner in _nodes()
+             if isinstance(owner, ast.FunctionDef)
+             for node in ast.walk(owner) if _is_indented_dumps(node)]
+    assert sorted(found) == [("cli.py", "_json"), ("optimize.py", "summary_json")]
+    assert sum(_is_indented_dumps(node) for _, node in _nodes()) == 2
