@@ -296,6 +296,15 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
 
     The same :func:`_terms` call as :func:`fast_kernel`; ``value`` stops it
     before the derivatives.  Same caveats as that kernel.
+
+    ``value(x)`` keeps the list it was given and the base loss
+    ``L = raw_value(theta) - offset`` it computed there.  ``grad(x)`` reuses
+    that ``L`` only when it gets the very same list object back, and computes
+    ``L`` itself for any other list, equal or not.  So a caller must not
+    mutate a list between passing it to ``value`` and to ``grad``;
+    :func:`minimize.descend` never does.  ``_terms`` gets the same inputs
+    either way, so the gradient is bitwise the same, and a descent that asks
+    for the gradient at its last evaluated point saves one ``raw_value`` call.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -303,13 +312,18 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     offset = field.offset
     lam = cfg.lam
     clamp = cfg.b_clamp
+    seen = None  # the list value() was last given, and its L
+    seen_L = 0.0
 
     def value(x):
-        return _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1], lam, clamp)[0]
+        nonlocal seen, seen_L
+        L = raw_value(x[:dim]) - offset
+        seen, seen_L = x, L
+        return _terms(L, x[dim], x[dim + 1], lam, clamp)[0]
 
     def grad(x):
         theta = x[:dim]
-        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, clamp,
-                      raw_grad(theta))[4]
+        L = seen_L if x is seen else raw_value(theta) - offset
+        return _terms(L, x[dim], x[dim + 1], lam, clamp, raw_grad(theta))[4]
 
     return value, grad

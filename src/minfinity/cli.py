@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -92,6 +93,8 @@ def _cmd_eval(args) -> int:
 def _cmd_contour(args) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be at least 2 per axis")
+    if args.levels and not all(map(math.isfinite, args.levels)):
+        raise UsageError(f"--levels must be finite, got {args.levels}")
     grid = landscape.sample_contour(
         args.l_slice, args.lam,
         a_range=tuple(args.a_range), b_range=tuple(args.b_range),

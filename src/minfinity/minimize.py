@@ -10,8 +10,9 @@ gradient norm seen.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import fsum, inf, isfinite, sqrt  # bare names: descend's loop is the finder's hot path
+from operator import mul
 from typing import Callable, Sequence
 
 ARMIJO_C = 0.1
@@ -30,10 +31,19 @@ class DescentResult:
     escaped: bool = False
 
 
-def _project(x: list[float], lower, upper) -> list[float]:
-    if lower is None:
-        return x
-    return [min(max(c, lo), hi) for c, lo, hi in zip(x, lower, upper)] + x[len(lower):]
+def _clip(x: list[float], box) -> list[float]:
+    """Project the boxed leading coordinates of ``x`` in place; returns ``x``.
+
+    Each boxed coordinate gets exactly ``min(max(c, lo), hi)``; the list is
+    written only where a coordinate lies outside its bounds.
+    """
+    for i, lo, hi in box:
+        c = x[i]
+        if c < lo:
+            x[i] = c = lo
+        if c > hi:
+            x[i] = hi
+    return x
 
 
 def descend(value_fn: Callable[[Sequence[float]], float],
@@ -50,21 +60,31 @@ def descend(value_fn: Callable[[Sequence[float]], float],
 
     ``escape`` marks runs that wandered out of the region of interest; they are
     abandoned and reported unconverged.  ``clamp_lower``/``clamp_upper`` project
-    the leading coordinates onto a box after every trial step.
+    the leading coordinates onto a box after every trial step; the projection
+    works in place on the fresh trial list, before any closure sees it.
+
+    The closures may rely on this: every point descend passes is a list it
+    built itself, and it never mutates a list after passing it to a closure.
+    So ``grad_fn`` may reuse what ``value_fn`` computed for the very same list
+    object (``augment.fast_value_and_grad`` reuses the base loss).  Phase 1
+    asks for the gradient only at the last point it evaluated.  descend only
+    reads what ``grad_fn`` returns, and drops it at the next gradient call.
     """
-    x = _project(list(map(float, x0)), clamp_lower, clamp_upper)
+    box = () if clamp_lower is None else tuple(zip(range(len(clamp_lower)),
+                                                   clamp_lower, clamp_upper))
+    x = _clip(list(map(float, x0)), box)
     v = value_fn(x)
     step = STEP0
     last_good = 1e-3
     iterations = 0
     stalled = False
-    gn = math.inf
+    gn = inf
 
     for _ in range(max_iters):
-        g = list(grad_fn(x))
-        gn2 = math.fsum(c * c for c in g)
-        gn = math.sqrt(gn2)
-        if not (math.isfinite(gn) and math.isfinite(v)):
+        g = grad_fn(x)
+        gn2 = fsum(map(mul, g, g))
+        gn = sqrt(gn2)
+        if not (isfinite(gn) and isfinite(v)):
             return DescentResult(x, v, gn, iterations, False)
         if gn <= grad_tol:
             return DescentResult(x, v, gn, iterations, True)
@@ -73,10 +93,9 @@ def descend(value_fn: Callable[[Sequence[float]], float],
         s = min(step, STEP_CAP / gn)
         accepted = False
         for _ in range(60):
-            nx = _project([xi - s * gi for xi, gi in zip(x, g)],
-                          clamp_lower, clamp_upper)
+            nx = _clip([xi - s * gi for xi, gi in zip(x, g)], box)
             nv = value_fn(nx)
-            if math.isfinite(nv) and nv <= v - ARMIJO_C * s * gn2:
+            if isfinite(nv) and nv <= v - ARMIJO_C * s * gn2:
                 x, v = nx, nv
                 step = s * 2.0
                 if s >= STALL_STEP:
@@ -90,27 +109,28 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             break
 
     if not stalled:
-        g = list(grad_fn(x))
-        gn = math.sqrt(math.fsum(c * c for c in g))
+        g = grad_fn(x)
+        gn = sqrt(fsum(map(mul, g, g)))
         return DescentResult(x, v, gn, iterations, gn <= grad_tol)
 
     # phase 2: the value has reached its representable floor; walk the analytic
     # gradient directly with a small constant step and keep the best iterate
+    # (no list is mutated once built, so iterates are shared, not copied)
     eta = min(last_good, 0.1)
-    best_x, best_gn = list(x), gn
+    best_x, best_gn = x, gn
     setbacks = 0
     for _ in range(polish_iters):
-        g = list(grad_fn(x))
-        gn = math.sqrt(math.fsum(c * c for c in g))
-        if not math.isfinite(gn):
+        g = grad_fn(x)
+        gn = sqrt(fsum(map(mul, g, g)))
+        if not isfinite(gn):
             break
         if gn < best_gn:
-            best_gn, best_x = gn, list(x)
+            best_gn, best_x = gn, x
             setbacks = 0
         else:
             setbacks += 1
             if setbacks >= 5:
-                x = list(best_x)
+                x = best_x
                 eta *= 0.5
                 setbacks = 0
                 if eta < 1e-15:
@@ -120,8 +140,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             break
         if escape is not None and escape(x):
             break
-        x = _project([xi - eta * gi for xi, gi in zip(x, g)],
-                     clamp_lower, clamp_upper)
+        x = _clip([xi - eta * gi for xi, gi in zip(x, g)], box)
         iterations += 1
 
     v = value_fn(best_x)

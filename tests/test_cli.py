@@ -98,6 +98,16 @@ def test_contour_rejects_a_non_finite_slice(tmp_path, l_slice):
     assert "l_slice" in r.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_contour_rejects_non_finite_levels(tmp_path, level):
+    # a non-finite level draws no contour line: the SVG would come out empty
+    out = tmp_path / level
+    r = run_cli("contour", "--levels", "1", level, "--svg", "--resolution", "5",
+                "--out", str(out))
+    assert r.returncode == 2
+    assert "--levels" in r.stderr and not out.exists()
+
+
 def test_contour_unwritable_output():
     r = run_cli("contour", "--out", "/proc/definitely/not/writable")
     assert r.returncode == 4

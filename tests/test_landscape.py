@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from minfinity import (AugConfig, ContourGrid, eval_u, find_critical_points,
-                       get_field, gradient, probe_infimum, sample_contour,
+from minfinity import (AugConfig, ContourGrid, eval_u, field_names, find_critical_points,
+                       get_field, gradient, landscape, probe_infimum, sample_contour,
                        stationarity_scan)
-from minfinity.augment import POLICY_ERROR, POLICY_SATURATE
+from minfinity.augment import POLICY_ERROR, POLICY_SATURATE, fast_value_and_grad
+from minfinity.minimize import _clip
 from minfinity.svgplot import default_levels, render_svg
+from test_optimize import _counting
 
 CFG = AugConfig()
 
@@ -65,6 +67,83 @@ def test_finder_reports_do_not_depend_on_the_saturation_policy():
                     for policy in (POLICY_ERROR, POLICY_SATURATE))
         assert err == sat
         assert any(eval_u(r.point.a, r.point.b, AugConfig(b_clamp=5.0))[1] for r in sat)
+
+
+def test_finder_reports_are_bitwise_stable():
+    # three seeds per field at seed 2: runs that converge in phase 1, that
+    # spend the whole 3000-iteration budget, and that stall into the polish
+    # phase (ending converged or not).  The sha256 of float.hex of every
+    # report field was recorded before descend and the fast closures were
+    # tuned, so any change in their arithmetic or call order shows here
+    lines = []
+    for name in sorted(field_names()):
+        for r in find_critical_points(get_field(name), CFG, n_seeds=3, seed=2):
+            nums = (*r.point.theta, r.point.a, r.point.b, r.grad_norm, r.base_loss)
+            lines.append(" ".join([name, *map(float.hex, nums), str(r.converged),
+                                   str(r.iterations), str(r.seed_index)]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "10ca0fd609ad090a7946971541333acbc58fc854b1519c52589947776d52fc21"
+
+
+def test_in_place_projection_is_the_min_max_clamp():
+    # descend clips each trial list in place; the reference is the list it
+    # rebuilt before, min(max(c, lo), hi) per boxed coordinate, bit for bit
+    lower, upper = (-1.0, 0.0, -0.0), (1.0, 0.0, 2.0)
+    box = tuple(zip(range(3), lower, upper))
+    values = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan]
+    for c in values:
+        for d in values:
+            x = [c, d, c, d, 7.0]
+            want = [min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper)] + x[3:]
+            got = _clip(list(x), box)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_fast_grad_reuses_the_base_loss_of_the_same_list_only():
+    field, calls = _counting(get_field("rastrigin-2d"))
+    value_fn, grad_fn = fast_value_and_grad(field, CFG)
+    x = [0.3, -1.2, 0.05, 1.5]
+    value_fn(x)
+    g = grad_fn(x)
+    assert calls == {"raw_value": 1, "raw_gradient": 1}
+    # an equal but distinct list gets its own L, and the very same gradient
+    g_copy = grad_fn(list(x))
+    assert calls == {"raw_value": 2, "raw_gradient": 2}
+    assert list(map(float.hex, g_copy)) == list(map(float.hex, g))
+    # and so does a pair that never saw a value call
+    fresh = fast_value_and_grad(get_field("rastrigin-2d"), CFG)[1](x)
+    assert list(map(float.hex, fresh)) == list(map(float.hex, g))
+
+
+def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
+    # phase 1 asks for the gradient only at the point it evaluated last, so
+    # only gradients at a point the value closure has not just seen (the
+    # polish phase's steps) pay for their own raw_value; the finder adds one
+    # validated field.value per report
+    field, calls = _counting(get_field("double-well-1d"))
+    seen = {"value": 0, "grad": 0, "grad_elsewhere": 0}
+
+    def counted_pair(f, cfg):
+        value_fn, grad_fn = fast_value_and_grad(f, cfg)
+        last = [None]
+
+        def value(x):
+            seen["value"] += 1
+            last[0] = x
+            return value_fn(x)
+
+        def grad(x):
+            seen["grad"] += 1
+            seen["grad_elsewhere"] += x is not last[0]
+            return grad_fn(x)
+        return value, grad
+
+    monkeypatch.setattr(landscape, "fast_value_and_grad", counted_pair)
+    reports = find_critical_points(field, CFG, n_seeds=3, seed=2)
+    # seed 2 runs one start through the polish phase, one to the budget
+    assert 0 < seen["grad_elsewhere"] < seen["grad"] // 2
+    assert calls["raw_gradient"] == seen["grad"]
+    assert calls["raw_value"] == seen["value"] + seen["grad_elsewhere"] + len(reports)
 
 
 def test_finder_rejects_bad_seed_count():

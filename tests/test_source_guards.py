@@ -1,6 +1,7 @@
 """Source guards: the log-space product, the floor slack, the default of each
-threshold and the JSON document format are each written once, and no field is
-built by a descent."""
+threshold and the JSON document format are each written once, no field is
+built by a descent, and the finder's closures keep the shapes the benchmark's
+tracer wraps."""
 import ast
 from pathlib import Path
 
@@ -91,3 +92,34 @@ def test_json_document_format_is_written_once():
              for node in ast.walk(owner) if _is_indented_dumps(node)]
     assert sorted(found) == [("cli.py", "_json"), ("optimize.py", "summary_json")]
     assert sum(_is_indented_dumps(node) for _, node in _nodes()) == 2
+
+
+def _function(filename: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / filename).read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_finder_closure_shapes_stay_traceable():
+    # perfbench/tracing.py wraps descend as (value_fn, grad_fn, x0, **kwargs),
+    # reading the max_iters/polish_iters defaults off its signature, and
+    # wraps the pair fast_value_and_grad returns as two one-argument
+    # closures; changing either shape outside a change to the benchmark
+    # breaks its --trace 1 runs
+    descend = _function("minimize.py", "descend")
+    assert [a.arg for a in descend.args.posonlyargs + descend.args.args] == \
+        ["value_fn", "grad_fn", "x0"]
+    assert not descend.args.defaults and descend.args.vararg is None
+    defaulted = {key for key, _ in _defaults(descend)}
+    assert {"max_iters", "polish_iters"} <= defaulted
+
+    fast = _function("augment.py", "fast_value_and_grad")
+    closures = {node.name: node for node in fast.body if isinstance(node, ast.FunctionDef)}
+    returned = [node.value for node in fast.body if isinstance(node, ast.Return)]
+    assert len(returned) == 1 and isinstance(returned[0], ast.Tuple)
+    names = [ast.unparse(elt) for elt in returned[0].elts]
+    assert len(names) == 2 and all(n in closures for n in names)
+    for n in names:
+        args = closures[n].args
+        assert len(args.posonlyargs + args.args) == 1 and not args.defaults
+        assert not (args.vararg or args.kwonlyargs or args.kwarg)
