@@ -31,19 +31,25 @@ class DescentResult:
     escaped: bool = False
 
 
-def _clip(x: list[float], box) -> list[float]:
-    """Project the boxed leading coordinates of ``x`` in place; returns ``x``.
+def _clip(x: list[float], box) -> bool:
+    """Project the boxed leading coordinates of ``x`` in place; returns whether
+    any coordinate moved.
 
-    Each boxed coordinate gets exactly ``min(max(c, lo), hi)``; the list is
+    ``box`` holds ``(index, lo, hi)`` triples.  Each boxed coordinate gets
+    exactly ``min(max(c, lo), hi)``, so with float bounds the result and the
+    flag are bitwise those of :meth:`fields.ScalarField.clamp`; the list is
     written only where a coordinate lies outside its bounds.
     """
+    moved = False
     for i, lo, hi in box:
         c = x[i]
         if c < lo:
             x[i] = c = lo
+            moved = True
         if c > hi:
             x[i] = hi
-    return x
+            moved = True
+    return moved
 
 
 def descend(value_fn: Callable[[Sequence[float]], float],
@@ -72,7 +78,8 @@ def descend(value_fn: Callable[[Sequence[float]], float],
     """
     box = () if clamp_lower is None else tuple(zip(range(len(clamp_lower)),
                                                    clamp_lower, clamp_upper))
-    x = _clip(list(map(float, x0)), box)
+    x = list(map(float, x0))
+    _clip(x, box)
     v = value_fn(x)
     step = STEP0
     last_good = 1e-3
@@ -93,7 +100,8 @@ def descend(value_fn: Callable[[Sequence[float]], float],
         s = min(step, STEP_CAP / gn)
         accepted = False
         for _ in range(60):
-            nx = _clip([xi - s * gi for xi, gi in zip(x, g)], box)
+            nx = [xi - s * gi for xi, gi in zip(x, g)]
+            _clip(nx, box)
             nv = value_fn(nx)
             if isfinite(nv) and nv <= v - ARMIJO_C * s * gn2:
                 x, v = nx, nv
@@ -140,7 +148,8 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             break
         if escape is not None and escape(x):
             break
-        x = _clip([xi - eta * gi for xi, gi in zip(x, g)], box)
+        x = [xi - eta * gi for xi, gi in zip(x, g)]
+        _clip(x, box)
         iterations += 1
 
     v = value_fn(best_x)

@@ -14,10 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
+from math import fsum, inf, isfinite, sqrt  # bare names: _run's loop is the hot path
+from operator import mul
 from typing import IO, Callable, Sequence
 
 from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
 from .fields import ScalarField
+from .minimize import _clip
 
 CONVERGED = "converged-finite"
 AT_INFINITY = "minimum-at-infinity"
@@ -44,8 +47,13 @@ class OptimizerSpec:
             raise ValueError("step_size must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        # a decay of 1 never forgets (momentum) or divides by 1 - 1 (Adam's
+        # bias correction); nan fails every comparison, so it lands here too
+        for name in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be a positive real, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,21 @@ class OutcomeLabel:
 
 @dataclass
 class Trajectory:
+    """A recorded run, stored as columns: index ``i`` of every list is one
+    recorded step, and :meth:`record` is the only code that appends a row.
+
+    ``points`` is a derived view, built from ``thetas``, ``a_values`` and
+    ``b_values`` on each access; nothing builds an :class:`AugPoint` per step.
+    """
+
     field_name: str
     steps: list[int] = dc_field(default_factory=list)
-    points: list[AugPoint] = dc_field(default_factory=list)
-    losses: list[float] = dc_field(default_factory=list)       # augmented
-    base_losses: list[float] = dc_field(default_factory=list)  # L(theta)
+    thetas: list[tuple[float, ...]] = dc_field(default_factory=list)
+    a_values: list[float] = dc_field(default_factory=list)
+    b_values: list[float] = dc_field(default_factory=list)
     us: list[float] = dc_field(default_factory=list)
+    base_losses: list[float] = dc_field(default_factory=list)  # L(theta)
+    losses: list[float] = dc_field(default_factory=list)       # augmented
     grad_norms: list[float] = dc_field(default_factory=list)
     total_steps: int = 0
     clamp_events: int = 0
@@ -76,24 +93,35 @@ class Trajectory:
     augmented: bool = True
     outcome: OutcomeLabel | None = None
 
-    def record(self, step: int, point: AugPoint, loss: float, base: float,
-               u: float, grad_norm: float) -> None:
+    def record(self, step: int, theta: tuple[float, ...], a: float, b: float,
+               loss: float, base: float, u: float, grad_norm: float) -> None:
+        """Append one row.  ``theta`` is a tuple of finite floats and ``a``,
+        ``b`` are finite floats, as :meth:`AugPoint.from_finite` requires."""
         self.steps.append(step)
-        self.points.append(point)
-        self.losses.append(loss)
-        self.base_losses.append(base)
+        self.thetas.append(theta)
+        self.a_values.append(a)
+        self.b_values.append(b)
         self.us.append(u)
+        self.base_losses.append(base)
+        self.losses.append(loss)
         self.grad_norms.append(grad_norm)
 
+    @property
+    def points(self) -> list[AugPoint]:
+        """The recorded ``(theta, a, b)`` rows as points, built on each access."""
+        return list(map(AugPoint.from_finite, self.thetas, self.a_values, self.b_values))
+
     def write_csv(self, out: IO[str]) -> None:
-        dim = len(self.points[0].theta) if self.points else 0
+        """One header line, then one ``out.write`` per recorded row."""
+        dim = len(self.thetas[0]) if self.thetas else 0
         headers = ["step"] + [f"theta{i}" for i in range(dim)] + \
             ["a", "b", "u", "L", "L_tilde", "grad_norm"]
-        out.write(",".join(headers) + "\n")
-        for k, p, v, base, u, gn in zip(self.steps, self.points, self.losses,
-                                        self.base_losses, self.us, self.grad_norms):
-            theta = "".join([f"{c!r}," for c in p.theta])
-            out.write(f"{k},{theta}{p.a!r},{p.b!r},{u!r},{base!r},{v!r},{gn!r}\n")
+        write = out.write
+        write(",".join(headers) + "\n")
+        for k, theta, a, b, u, base, v, gn in zip(
+                self.steps, self.thetas, self.a_values, self.b_values, self.us,
+                self.base_losses, self.losses, self.grad_norms):
+            write(f"{k},{','.join(map(repr, theta))},{a!r},{b!r},{u!r},{base!r},{v!r},{gn!r}\n")
 
     def summary(self) -> dict:
         return {
@@ -117,17 +145,22 @@ def _updater(spec: OptimizerSpec, n: int) -> Callable[..., list[float]]:
             return [xi - eta * gi for xi, gi in zip(x, g)]
         return gd
 
+    # momentum and Adam update their state and x in one loop: for a handful of
+    # coordinates that costs less than a comprehension per list
     if spec.kind == "momentum":
         mu = spec.momentum
         vel = [0.0] * n
 
         def momentum(x, g):
+            out = []
             for i, gi in enumerate(g):
-                vel[i] = mu * vel[i] + gi
-            return [xi - eta * vi for xi, vi in zip(x, vel)]
+                vi = vel[i] = mu * vel[i] + gi
+                out.append(x[i] - eta * vi)
+            return out
         return momentum
 
     beta1, beta2, eps = spec.beta1, spec.beta2, spec.eps
+    rest1, rest2 = 1.0 - beta1, 1.0 - beta2
     m = [0.0] * n
     v = [0.0] * n
     t = 0
@@ -138,16 +171,12 @@ def _updater(spec: OptimizerSpec, n: int) -> Callable[..., list[float]]:
         out = []
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t
-        for i, (xi, gi) in enumerate(zip(x, g)):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * gi
-            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi
-            out.append(xi - eta * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps))
+        for i, gi in enumerate(g):
+            mi = m[i] = beta1 * m[i] + rest1 * gi
+            vi = v[i] = beta2 * v[i] + rest2 * gi * gi
+            out.append(x[i] - eta * (mi / c1) / (sqrt(vi / c2) + eps))
         return out
     return adam
-
-
-def _should_record(step: int) -> bool:
-    return step <= DENSE_RECORD_LIMIT or step % 10 == 0
 
 
 def run_optimizer(field: ScalarField, start: AugPoint, spec: OptimizerSpec,
@@ -193,50 +222,60 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
     """The optimizer loop over the flat state [theta..., a, b].
 
     ``kernel(x)`` returns ``(V, L, u, grad V)``; one call per step.  Only an
-    augmented run checks the divergence signature.
+    augmented run checks the divergence signature.  Steps up to
+    ``DENSE_RECORD_LIMIT`` are all recorded, then every 10th, and always the
+    last.
     """
     dim = field.dim
+    ia, ib = dim, dim + 1
     update = _updater(spec, dim + 2)
     diverging = thr.diverging  # bound once: checked every step
+    grad_tol = thr.grad_tol
+    max_steps = spec.max_steps
+    dense = DENSE_RECORD_LIMIT
+    # float bounds: a clipped coordinate is float() of ScalarField.clamp's, bit for bit
+    box = tuple(zip(range(dim), map(float, field.lower), map(float, field.upper)))
 
     start_theta, clamped = field.clamp(theta_start)
     # validated once: a clamped coordinate may be an int bound, and recorded
-    # points hold finite floats
+    # rows hold finite floats
     x = AugPoint(start_theta, a_start, b_start).coords()
     traj = Trajectory(field_name=field.name, augmented=augmented)
+    record = traj.record
     if clamped:
         traj.clamp_events += 1
 
     step = 0
     while True:
         loss, base, u, g = kernel(x)
-        finite = math.isfinite(loss) and all(map(math.isfinite, g))
-        gn = math.sqrt(math.fsum([c * c for c in g])) if finite else math.inf
-        if not finite:
+        finite = isfinite(loss) and all(map(isfinite, g))
+        if finite:
+            gn = sqrt(fsum(map(mul, g, g)))
+        else:
+            gn = inf
             traj.saturation_events += 1
-        diverged = augmented and diverging(x[dim], x[dim + 1], u)
-        stop = not finite or gn <= thr.grad_tol or diverged or step >= spec.max_steps
-        if stop or _should_record(step):
+        stop = (not finite or gn <= grad_tol or step >= max_steps
+                or augmented and diverging(x[ia], x[ib], u))
+        if stop or step <= dense or step % 10 == 0:
             # every coordinate is a finite float: checked after each update.  A
             # plain run records the literal 0.0: each update keeps its a and b
             # at 0.0, but as new float objects
-            a, b = (x[dim], x[dim + 1]) if augmented else (0.0, 0.0)
-            traj.record(step, AugPoint.from_finite(tuple(x[:dim]), a, b), loss, base, u, gn)
+            if augmented:
+                record(step, tuple(x[:dim]), x[ia], x[ib], loss, base, u, gn)
+            else:
+                record(step, tuple(x[:dim]), 0.0, 0.0, loss, base, u, gn)
         if stop:
             break
         x = update(x, g)
-        theta, was_clamped = field.clamp(x[:dim])
-        if was_clamped:
+        if _clip(x, box):
             traj.clamp_events += 1
-            x[:dim] = [float(t) for t in theta]
         step += 1
-        if not all(map(math.isfinite, x)):
+        if not all(map(isfinite, x)):
             # update escaped the representable range: saturate coordinates so
-            # the failure point is still constructible, then stop
+            # the failure point is still a finite row, then stop
             x = _sanitize(x)
             _, base, u, _ = kernel(x)
-            traj.record(step, AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]),
-                        math.inf, base, u, math.inf)
+            record(step, tuple(x[:dim]), x[ia], x[ib], inf, base, u, inf)
             traj.saturation_events += 1
             break
 
@@ -257,32 +296,31 @@ def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) 
     :meth:`Thresholds.diverging` with b non-decreasing over the final quarter.
     """
     thr = thresholds or Thresholds()
-    if not traj.points:
+    if not traj.steps:
         raise ValueError("cannot classify an empty trajectory")
-    p = traj.points[-1]
+    a = traj.a_values[-1]
+    b = traj.b_values[-1]
     u = traj.us[-1]
     base = traj.base_losses[-1]
     gn = traj.grad_norms[-1]
-    cert = dict(final_a=p.a, final_b=p.b, final_u=u,
+    cert = dict(final_a=a, final_b=b, final_u=u,
                 final_base_loss=base, final_grad_norm=gn)
 
-    bad = any(not math.isfinite(v) for v in traj.losses) or \
-        any(not math.isfinite(g) for g in traj.grad_norms)
-    if bad:
+    if not (all(map(isfinite, traj.losses)) and all(map(isfinite, traj.grad_norms))):
         return OutcomeLabel(FAILED, **cert)
     if not traj.augmented:
         kind = CONVERGED if gn <= thr.grad_tol else EXHAUSTED
         return OutcomeLabel(kind, **cert)
-    if thr.certifies(gn, base, p.b):
+    if thr.certifies(gn, base, b):
         return OutcomeLabel(CONVERGED, **cert)
-    if thr.diverging(p.a, p.b, u) and _b_monotone_tail(traj):
+    if thr.diverging(a, b, u) and _b_monotone_tail(traj):
         return OutcomeLabel(AT_INFINITY, **cert)
     return OutcomeLabel(EXHAUSTED, **cert)
 
 
 def _b_monotone_tail(traj: Trajectory) -> bool:
     """b non-decreasing over the final quarter of the recorded path."""
-    bs = [p.b for p in traj.points]
+    bs = traj.b_values
     if len(bs) < 2:
         return True
     tail = bs[-max(2, len(bs) // 4):]

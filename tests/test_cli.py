@@ -194,6 +194,23 @@ def test_optimize_config_echoes_valid_values_unchanged(tmp_path):
         == '[1, 3, {"index": 0, "mode": "explicit", "theta": [1]}]'
 
 
+@pytest.mark.parametrize("optimizer, key", [
+    ({"kind": "adam", "beta2": 1.0}, "beta2"),  # Adam's bias correction divides by 0
+    ({"kind": "adam", "beta1": 1.0}, "beta1"),
+    ({"kind": "adam", "beta2": 2.0}, "beta2"),
+    ({"kind": "adam", "eps": math.nan}, "eps"),
+    ({"kind": "momentum", "momentum": math.nan}, "momentum"),
+])
+def test_optimize_rejects_degenerate_hyperparameters(tmp_path, optimizer, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": "quadratic-1d", "start": {"theta": [1.0]},
+                                "optimizer": {"step_size": 0.01, "max_steps": 50,
+                                              **optimizer}}))
+    r = run_cli("optimize", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert f"bad optimizer spec: {key} must be" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_optimize_missing_field_is_usage_error():
     assert run_cli("optimize", "--step-size", "0.1").returncode == 2
 

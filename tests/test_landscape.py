@@ -87,7 +87,8 @@ def test_finder_reports_are_bitwise_stable():
 
 def test_in_place_projection_is_the_min_max_clamp():
     # descend clips each trial list in place; the reference is the list it
-    # rebuilt before, min(max(c, lo), hi) per boxed coordinate, bit for bit
+    # rebuilt before, min(max(c, lo), hi) per boxed coordinate, bit for bit,
+    # and the flag says whether that list differs from the input
     lower, upper = (-1.0, 0.0, -0.0), (1.0, 0.0, 2.0)
     box = tuple(zip(range(3), lower, upper))
     values = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan]
@@ -95,8 +96,10 @@ def test_in_place_projection_is_the_min_max_clamp():
         for d in values:
             x = [c, d, c, d, 7.0]
             want = [min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper)] + x[3:]
-            got = _clip(list(x), box)
+            got = list(x)
+            moved = _clip(got, box)
             assert [repr(v) for v in got] == [repr(v) for v in want]
+            assert moved == (want != x)
 
 
 def test_fast_grad_reuses_the_base_loss_of_the_same_list_only():

@@ -10,8 +10,11 @@ import pytest
 from minfinity import (AugConfig, AugPoint, OptimizerSpec, Thresholds,
                        Trajectory, classify_trajectory, compare_baseline,
                        get_field, run_optimizer, run_plain)
+from minfinity.augment import fast_kernel
 from minfinity.fields import RASTRIGIN_BAD_X
-from minfinity.optimize import AT_INFINITY, CONVERGED, EXHAUSTED, FAILED
+from minfinity.minimize import _clip
+from minfinity.optimize import (AT_INFINITY, CONVERGED, DENSE_RECORD_LIMIT, EXHAUSTED,
+                                FAILED, _updater)
 
 CFG = AugConfig()
 
@@ -121,7 +124,7 @@ def test_compare_baseline_bad_basin_dichotomy():
 def _synthetic(rows):
     t = Trajectory(field_name="synthetic")
     for k, (a, b, u, loss, base, gn) in enumerate(rows):
-        t.record(k, AugPoint((0.0,), a, b), loss, base, u, gn)
+        t.record(k, (0.0,), a, b, loss, base, u, gn)
     t.total_steps = len(rows) - 1
     return t
 
@@ -291,6 +294,20 @@ def test_spec_validation():
     assert Thresholds().b_max == 20.0
 
 
+@pytest.mark.parametrize("key,bad", [
+    ("momentum", 1.0), ("momentum", -0.1), ("momentum", math.nan),
+    ("beta1", 1.0), ("beta1", math.inf), ("beta2", 1.0), ("beta2", 2.0),
+    ("eps", 0.0), ("eps", math.inf), ("eps", math.nan),
+])
+def test_spec_rejects_degenerate_hyperparameters(key, bad):
+    # beta = 1 divides by zero in Adam's bias correction; nan eps or momentum
+    # would run on to a numerical failure
+    with pytest.raises(ValueError, match=key):
+        OptimizerSpec(kind="adam", step_size=0.1, max_steps=10, **{key: bad})
+    OptimizerSpec(kind="adam", step_size=0.1, max_steps=10, momentum=0.0, beta1=0.0,
+                  beta2=0.0, eps=1e-300)
+
+
 # --- byte-identical trajectories ----------------------------------------------
 
 def _csv_sha256(traj):
@@ -402,3 +419,124 @@ def test_run_optimizer_evaluates_the_field_once_per_step(name, start, spec):
 def test_run_plain_evaluates_the_field_once_per_step(name, theta, spec):
     field, calls = _counting(get_field(name))
     _assert_once_per_step(run_plain(field, theta, spec), calls)
+
+
+# --- columnar trajectories: the same rows as one AugPoint per step -------------
+
+def _reference_run(field, start, spec):
+    """The loop as it was before trajectories went columnar: ScalarField.clamp
+    after every update and one validated AugPoint per recorded step.
+    Returns ``(points, clamp_events)``."""
+    dim = field.dim
+    thr = Thresholds()
+    kernel = fast_kernel(field, CFG)
+    update = _updater(spec, dim + 2)
+    theta, clamped = field.clamp(start.theta)
+    x = AugPoint(theta, start.a, start.b).coords()
+    points, clamps = [], int(clamped)
+    step = 0
+    while True:
+        loss, _, u, g = kernel(x)
+        finite = math.isfinite(loss) and all(map(math.isfinite, g))
+        gn = math.sqrt(math.fsum([c * c for c in g])) if finite else math.inf
+        stop = (not finite or gn <= thr.grad_tol or step >= spec.max_steps
+                or thr.diverging(x[dim], x[dim + 1], u))
+        if stop or step <= DENSE_RECORD_LIMIT or step % 10 == 0:
+            points.append(AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]))
+        if stop:
+            return points, clamps
+        x = update(x, g)
+        theta, moved = field.clamp(x[:dim])
+        if moved:
+            clamps += 1
+            x[:dim] = [float(t) for t in theta]
+        step += 1
+        if not all(map(math.isfinite, x)):
+            x = [0.0 if c != c else min(max(c, -1e308), 1e308) for c in x]
+            points.append(AugPoint(tuple(x[:dim]), x[dim], x[dim + 1]))
+            return points, clamps
+
+
+def _hex_rows(points):
+    return [tuple(map(float.hex, (*p.theta, p.a, p.b))) for p in points]
+
+
+INT_BOX_QUADRATIC = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
+
+
+@pytest.mark.parametrize("field,theta,spec,min_clamps", [
+    # crosses DENSE_RECORD_LIMIT and stops between two sparse records
+    (get_field("rastrigin-1d"), (RASTRIGIN_BAD_X,), gd(1e-3, 10_503), 0),
+    # the first update overflows a: the sanitized failure point is the last row
+    (get_field("quadratic-2d"), (1.0, 1.0), gd(1e308, 100), 0),
+    # started outside the box, then thrown against its walls
+    (get_field("quadratic-2d"), (12.0, -10.5), gd(10.0, 50), 2),
+    (INT_BOX_QUADRATIC, (-3.0,), gd(0.9, 50), 1),
+])
+def test_points_view_is_the_per_step_points(field, theta, spec, min_clamps):
+    start = AugPoint(theta, 0.1, 0.0)
+    traj = run_optimizer(field, start, spec, CFG)
+    want, clamps = _reference_run(field, start, spec)
+    assert _hex_rows(traj.points) == _hex_rows(want)
+    assert all(type(c) is float for p in traj.points for c in (*p.theta, p.a, p.b))
+    assert traj.clamp_events == clamps >= min_clamps
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ((0.0,), (1.0,)), ((-1.0,), (0.0,)), ((-1,), (1,)), ((0,), (0,)),
+])
+def test_in_place_theta_clip_is_scalar_field_clamp(lower, upper):
+    # run_optimizer clips theta in place over float bounds; it must give the
+    # float of ScalarField.clamp's value, bit for bit, and the same moved flag
+    field = replace(get_field("quadratic-1d"), lower=lower, upper=upper)
+    box = tuple(zip(range(1), map(float, lower), map(float, upper)))
+    for c in (-0.0, 0.0, -3.0, -1.0, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan):
+        x = [c, 0.25, -0.5]
+        moved = _clip(x, box)
+        (want,), want_moved = field.clamp([c])
+        assert moved == want_moved
+        assert type(x[0]) is float and x[0].hex() == float(want).hex()
+        assert x[1:] == [0.25, -0.5]
+
+
+def test_run_builds_a_constant_number_of_points(monkeypatch):
+    field = get_field("rastrigin-1d")
+    start = AugPoint(field.bad_minima[0].point, 0.1, 0.0)
+    built = []
+    init = AugPoint.__init__
+    from_finite = AugPoint.from_finite.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_from_finite(cls, *args):
+        built.append("from_finite")
+        return from_finite(cls, *args)
+
+    monkeypatch.setattr(AugPoint, "__init__", counted_init)
+    monkeypatch.setattr(AugPoint, "from_finite", classmethod(counted_from_finite))
+    traj = run_optimizer(field, start, gd(1e-3, 10_500), CFG)
+    assert len(traj.steps) == 10_051
+    assert built == ["init"]  # the validated start, and nothing per step
+    # the view builds its points on demand, one per recorded row
+    assert len(traj.points) == 10_051
+    assert built.count("from_finite") == 10_051
+
+
+def test_write_csv_passes_one_row_per_write():
+    # streaming keeps a whole trajectory's text out of memory
+    field = get_field("rastrigin-2d")
+    traj = run_optimizer(field, AugPoint((1.0, -1.0), 0.1, 0.0), gd(1e-3, 10_200), CFG)
+
+    class Chunks:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Chunks()
+    traj.write_csv(out)
+    assert len(out.writes) == len(traj.steps) + 1
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)

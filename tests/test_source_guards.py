@@ -1,11 +1,14 @@
 """Source guards: the log-space product, the floor slack, the default of each
 threshold and the JSON document format are each written once, no field is
-built by a descent, and the finder's closures keep the shapes the benchmark's
-tracer wraps."""
+built by a descent, the finder's closures keep the shapes the benchmark's
+tracer wraps, and trajectory rows have one append path and no per-step
+point."""
 import ast
+import dataclasses
 from pathlib import Path
 
 import minfinity
+from minfinity import Trajectory
 
 SRC = Path(minfinity.__file__).resolve().parent
 
@@ -123,3 +126,43 @@ def test_finder_closure_shapes_stay_traceable():
         args = closures[n].args
         assert len(args.posonlyargs + args.args) == 1 and not args.defaults
         assert not (args.vararg or args.kwonlyargs or args.kwarg)
+
+
+_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
+
+
+def test_trajectory_rows_are_appended_only_in_record():
+    # Trajectory keeps its rows as parallel columns; one append path keeps
+    # them the same length
+    columns = {f.name for f in dataclasses.fields(Trajectory) if f.default_factory is list}
+    assert {"steps", "thetas", "a_values", "b_values", "us"} <= columns
+    tree = ast.parse((SRC / "optimize.py").read_text())
+    trajectory = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "Trajectory")
+    record = next(node for node in trajectory.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "record")
+    writes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _MUTATORS \
+                and isinstance(node.value, ast.Attribute) and node.value.attr in columns:
+            writes.append(node)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Subscript):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and t.attr in columns:
+                    writes.append(t)
+    inside = {id(node) for node in ast.walk(record)}
+    assert [ast.unparse(w) for w in writes if id(w) not in inside] == []
+    assert sorted(w.value.attr for w in writes) == sorted(columns)
+
+
+def test_optimizer_loop_builds_no_point():
+    # the recorded rows are columns; points are built only on demand
+    loops = [node for node in ast.walk(_function("optimize.py", "_run"))
+             if isinstance(node, (ast.While, ast.For))]
+    assert loops
+    assert not any(isinstance(node, ast.Name) and node.id == "AugPoint"
+                   for loop in loops for node in ast.walk(loop))
