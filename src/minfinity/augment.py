@@ -14,12 +14,13 @@ and finite differences in the test suite:
     dV/dtheta = grad L * (1 + (u - 1)^2)
 
 All of this, with the floor of L at FLOOR_SLACK, is written once, in the
-scalar core :func:`_terms`.  ``eval_u``, ``evaluate``, ``gradient``,
-``slice_value`` and the fast closures call it, and their saturation-policy
-checks wrap it.  ``lifted_loss`` stays a separate route on purpose: it is the
-dual-number oracle the core is checked against.  The certificate of a finite
-critical point and the signature of a run heading to b -> inf are written once
-too, as the methods of :class:`Thresholds`.
+scalar core :func:`_terms` and its derivative half :func:`_slopes`.
+``eval_u``, ``evaluate``, ``gradient``, ``slice_value`` and the fast closures
+call it, and their saturation-policy checks wrap it.  ``lifted_loss`` stays a
+separate route on purpose: it is the dual-number oracle the core is checked
+against.  The certificate of a finite critical point and the signature of a
+run heading to b -> inf are written once too, as the methods of
+:class:`Thresholds`.
 """
 from __future__ import annotations
 
@@ -151,10 +152,9 @@ def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
     ``L`` in ``[-FLOOR_SLACK, 0)`` reads as 0.  ``u = sign(a)*exp(log|a| + b)``
     with the exponent pinned to ``[-clamp, clamp]``; ``u_sat`` says the pin
     applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
-    gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead:
-    ``grad`` is the list [dV/dtheta..., dV/da, dV/db], and ``b_sat`` says
-    exp(b) in dV/da was pinned at exp(clamp).  Value-only calls skip exp(b)
-    and the derivatives.  Raises nothing: the policy checks wrap it.
+    gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead, with
+    ``grad, b_sat`` from :func:`_slopes`.  Value-only calls skip exp(b) and
+    the derivatives.  Raises nothing: the policy checks wrap it.
     """
     if L < 0.0 and L >= -FLOOR_SLACK:
         L = 0.0
@@ -174,6 +174,18 @@ def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
     value = lam * a * a if L == 0.0 else L * (1.0 + dev * dev) + lam * a * a
     if grad_L is None:
         return value, L, u, u_sat
+    grad, b_sat = _slopes(L, a, b, u, lam, clamp, grad_L)
+    return value, L, u, u_sat, grad, b_sat
+
+
+def _slopes(L: float, a: float, b: float, u: float, lam: float, clamp: float, grad_L):
+    """The derivative half of :func:`_terms`, at the floored ``L`` and the ``u``
+    it returned.
+
+    Returns ``(grad, b_sat)``: ``grad`` is the list [dV/dtheta..., dV/da,
+    dV/db], and ``b_sat`` says exp(b) in dV/da was pinned at exp(clamp).
+    """
+    dev = u - 1.0
     mult = 1.0 + dev * dev
     grad = []
     for c in grad_L:  # a loop: for one or two coordinates a comprehension costs more
@@ -185,7 +197,7 @@ def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
     else:
         grad.append(2.0 * L * dev * exp(clamp if b_sat else b) + 2.0 * lam * a)
         grad.append(2.0 * L * dev * u)
-    return value, L, u, u_sat, grad, b_sat
+    return grad, b_sat
 
 
 def _saturation(overflow: str, a: float, b: float, u_sat: bool,
@@ -294,17 +306,25 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
 def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     """Unvalidated closures ``(value, grad)`` over [theta..., a, b] for hot loops.
 
-    The same :func:`_terms` call as :func:`fast_kernel`; ``value`` stops it
+    The same :func:`_terms` arithmetic as :func:`fast_kernel`; ``value`` stops
     before the derivatives.  Same caveats as that kernel.
 
-    ``value(x)`` keeps the list it was given and the base loss
-    ``L = raw_value(theta) - offset`` it computed there.  ``grad(x)`` reuses
-    that ``L`` only when it gets the very same list object back, and computes
-    ``L`` itself for any other list, equal or not.  So a caller must not
-    mutate a list between passing it to ``value`` and to ``grad``;
-    :func:`minimize.descend` never does.  ``_terms`` gets the same inputs
-    either way, so the gradient is bitwise the same, and a descent that asks
-    for the gradient at its last evaluated point saves one ``raw_value`` call.
+    The pair's one reuse rule: ``L = raw_value(theta) - offset`` is reused
+    from the pair's last ``raw_value`` call, and ``grad L =
+    raw_gradient(theta)`` from its last ``raw_gradient`` call, whenever theta
+    is bitwise the same there.  For float coordinates that is list equality
+    with no zero coordinate: ``0.0 == -0.0``, and the two can give different
+    bits downstream, while a NaN matches only the very same object.  ``grad``
+    also reuses the floored ``L`` and the ``u`` that ``value`` computed when
+    it gets back the very list object ``value`` last saw.  Every reused
+    quantity is what a fresh call would compute, so the results are bitwise
+    those of a fresh pair.
+
+    The caller may mutate a list once it is done with it, but not between
+    passing it to ``value`` and to ``grad``.  A returned gradient is the
+    caller's to keep or mutate; the pair keeps its own slices of theta and
+    never hands out what ``raw_gradient`` returned.  :func:`minimize.descend`
+    mutates no list after passing it.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -312,18 +332,29 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     offset = field.offset
     lam = cfg.lam
     clamp = cfg.b_clamp
-    seen = None  # the list value() was last given, and its L
-    seen_L = 0.0
+    v_at = g_at = None  # theta of the last raw_value / raw_gradient call
+    v_L = g_L = None  # what that call gave: L (offset applied) / grad L
+    seen = None  # the list value() last saw, with its floored L and u
+    seen_L = seen_u = 0.0
 
     def value(x):
-        nonlocal seen, seen_L
-        L = raw_value(x[:dim]) - offset
-        seen, seen_L = x, L
-        return _terms(L, x[dim], x[dim + 1], lam, clamp)[0]
+        nonlocal v_at, v_L, seen, seen_L, seen_u
+        theta = x[:dim]
+        if not (theta == v_at and 0.0 not in theta):
+            v_at, v_L = theta, raw_value(theta) - offset
+        v, seen_L, seen_u, _ = _terms(v_L, x[dim], x[dim + 1], lam, clamp)
+        seen = x
+        return v
 
     def grad(x):
+        nonlocal v_at, v_L, g_at, g_L
         theta = x[:dim]
-        L = seen_L if x is seen else raw_value(theta) - offset
-        return _terms(L, x[dim], x[dim + 1], lam, clamp, raw_grad(theta))[4]
+        if not (theta == g_at and 0.0 not in theta):
+            g_at, g_L = theta, raw_grad(theta)
+        if x is seen:
+            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, clamp, g_L)[0]
+        if not (theta == v_at and 0.0 not in theta):
+            v_at, v_L = theta, raw_value(theta) - offset
+        return _terms(v_L, x[dim], x[dim + 1], lam, clamp, g_L)[4]
 
     return value, grad

@@ -94,15 +94,20 @@ def sqrt_(x):
     return x.sqrt() if isinstance(x, Dual) else math.sqrt(x)
 
 
+def fd_step(xi: float) -> float:
+    """The central-difference step at a coordinate of value ``xi``."""
+    return 1e-6 * max(1.0, abs(xi))
+
+
 def fd_gradient(f: Callable[[Sequence[float]], float], x: Sequence[float]) -> list[float]:
-    """Central finite-difference gradient, h_i = 1e-6 * max(1, |x_i|).
+    """Central finite-difference gradient, h_i = fd_step(x_i) = 1e-6 * max(1, |x_i|).
 
     Raises ValueError when a stencil evaluation is non-finite.
     """
     x = list(x)
     grad = []
     for i, xi in enumerate(x):
-        h = 1e-6 * max(1.0, abs(xi))
+        h = fd_step(xi)
         hi = list(x)
         lo = list(x)
         hi[i] = xi + h

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
-from .differentiation import cos_, exp_, sqrt_
+from .differentiation import Dual, cos_, exp_, sqrt_
 from .minimize import descend
 
 
@@ -50,9 +50,11 @@ class BadMinimum(NamedTuple):
 class ScalarField:
     """A differentiable loss over a closed box, shifted by ``offset``.
 
-    ``raw_value`` must accept floats and dual numbers alike (it is written in
-    the lifted primitives from :mod:`minfinity.differentiation`);
-    ``raw_gradient`` is the hand-derived gradient of the raw formula.
+    ``raw_value`` must accept floats and dual numbers alike: each formula is
+    written once and takes its primitives from :mod:`math` when no coordinate
+    is a Dual, the lifted ones from :mod:`minfinity.differentiation`
+    otherwise.  ``raw_gradient`` is the hand-derived gradient of the raw
+    formula, as a tuple or a list.
     """
 
     name: str
@@ -60,7 +62,7 @@ class ScalarField:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     raw_value: Callable[[Sequence], object]
-    raw_gradient: Callable[[Sequence[float]], tuple[float, ...]]
+    raw_gradient: Callable[[Sequence[float]], Sequence[float]]
     offset: float = 0.0
     zero_min: bool = True
     global_min: tuple[float, ...] | None = None
@@ -191,21 +193,34 @@ def _quadratic_grad(theta):
 
 
 def _rastrigin(coords):
+    # the primitives are picked once per call: math's unless a coordinate is a Dual
+    cos = math.cos
+    for c in coords:
+        if type(c) is Dual:
+            cos = cos_
+            break
     total = 10.0 * len(coords)
     for c in coords:
-        total = total + (c * c - 10.0 * cos_(_TWO_PI * c))
+        total = total + (c * c - 10.0 * cos(_TWO_PI * c))
     return total
 
 
 def _rastrigin_grad(theta):
-    return tuple(2.0 * t + 20.0 * math.pi * math.sin(_TWO_PI * t) for t in theta)
+    grad = []
+    for t in theta:  # a loop: for one or two coordinates a generator costs more
+        grad.append(2.0 * t + 20.0 * math.pi * math.sin(_TWO_PI * t))
+    return grad
 
 
 def _ackley(coords):
     x, y = coords
-    r = sqrt_((x * x + y * y) * 0.5)
-    c = (cos_(_TWO_PI * x) + cos_(_TWO_PI * y)) * 0.5
-    return -20.0 * exp_(-0.2 * r) - exp_(c) + 20.0 + math.e
+    if type(x) is Dual or type(y) is Dual:
+        exp, cos, sqrt = exp_, cos_, sqrt_
+    else:
+        exp, cos, sqrt = math.exp, math.cos, math.sqrt
+    r = sqrt((x * x + y * y) * 0.5)
+    c = (cos(_TWO_PI * x) + cos(_TWO_PI * y)) * 0.5
+    return -20.0 * exp(-0.2 * r) - exp(c) + 20.0 + math.e
 
 
 def _ackley_grad(theta):

@@ -72,7 +72,8 @@ def descend(value_fn: Callable[[Sequence[float]], float],
     The closures may rely on this: every point descend passes is a list it
     built itself, and it never mutates a list after passing it to a closure.
     So ``grad_fn`` may reuse what ``value_fn`` computed for the very same list
-    object (``augment.fast_value_and_grad`` reuses the base loss).  Phase 1
+    object, and either may reuse what they computed at a bitwise-equal point
+    (``augment.fast_value_and_grad`` states its one rule for both).  Phase 1
     asks for the gradient only at the last point it evaluated.  descend only
     reads what ``grad_fn`` returns, and drops it at the next gradient call.
     """

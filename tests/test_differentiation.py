@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfinity import AugConfig, AugPoint, evaluate, get_field, gradient
-from minfinity.augment import lifted_loss
+from minfinity import AugConfig, AugPoint, augment, evaluate, get_field, gradient
+from minfinity.augment import AugGradient, lifted_loss
+from minfinity.verify import FD_TOL, grad_check_suite
 from minfinity.differentiation import Dual, dual_gradient, fd_gradient
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -146,3 +147,36 @@ def test_three_way_agreement(name):
             scale = max(1.0, abs(ga))
             assert abs(ga - gf) / scale <= 1e-6
             assert abs(ga - gd) / scale <= 1e-12
+
+
+# --- the grad-check suite ---------------------------------------------------
+
+def test_grad_check_allows_the_stencils_own_rounding():
+    # at seed 108, point 61 of quadratic-2d has V = 16 777 and dV/dtheta0 =
+    # -0.690: the central difference misses by 1.43e-6 relative, inside its
+    # own rounding V*eps/h = 3.7e-6, while the dual oracle agrees to 3e-14.
+    # The report reads that miss net of the rounding, floored at FD_TOL, so
+    # it agrees with the verdict
+    out = grad_check_suite(seed=108, fields=["quadratic-2d"])
+    (check,) = out["checks"]
+    assert check["worst_fd_rel_err"] == FD_TOL
+    assert check["worst_dual_rel_err"] < 1e-13
+    assert out["violations_total"] == 0
+
+
+def test_grad_check_flags_a_gradient_off_by_1e_5(monkeypatch):
+    # every component scaled by 1 + 1e-5: the checks flag 7989 of the 8000
+    # comparisons at seed 108, as many as without the rounding allowance; the
+    # other 11 are finite-difference comparisons of components under 0.1,
+    # where 1e-5 of the component is inside FD_TOL
+    exact = augment.gradient
+
+    def off(field, point, cfg, check_domain=True):
+        g = exact(field, point, cfg, check_domain)
+        k = 1.0 + 1e-5
+        return AugGradient(tuple(c * k for c in g.d_theta), g.d_a * k, g.d_b * k, g.saturated)
+
+    monkeypatch.setattr(augment, "gradient", off)
+    out = grad_check_suite(seed=108, fields=["quadratic-2d"])
+    assert out["checks"][0]["points"] == 1000
+    assert out["violations_total"] == 7989

@@ -1,4 +1,5 @@
 """Field registry: values, gradients, normalization, domain handling."""
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from minfinity import (DimensionError, DomainError, NormalizationError,
                        field_names, get_field, normalize, zero_min_field_names)
-from minfinity.differentiation import fd_gradient
+from minfinity.differentiation import Dual, fd_gradient
 from minfinity.fields import (DOUBLE_WELL_GLOBAL_X, DOUBLE_WELL_OFFSET,
                               RASTRIGIN_BAD_VALUE, RASTRIGIN_BAD_X)
 
@@ -127,6 +128,48 @@ def test_bad_minima_are_certified(name):
         assert math.sqrt(sum(c * c for c in g)) <= 1e-6
         assert bad.value >= 10 * 1e-4
         assert field.value(bad.point) == pytest.approx(bad.value, rel=1e-9)
+
+
+def _raw_points(field):
+    # seeded draws from the whole box, the registered minima and the corners
+    rng = random.Random(7)
+    points = [field.interior_sample(rng, margin=0.0) for _ in range(40)]
+    return points + [field.global_min, *(m.point for m in field.bad_minima),
+                     field.lower, field.upper]
+
+
+def test_raw_formulas_are_bitwise_stable():
+    # sha256 of float.hex of raw_value and raw_gradient on floats, recorded
+    # before the formulas chose their primitives once per call
+    lines = []
+    for name in ALL_FIELDS:
+        f = get_field(name)
+        for p in _raw_points(f):
+            lines.append(" ".join([name, float.hex(f.raw_value(list(p))),
+                                   *map(float.hex, f.raw_gradient(list(p)))]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "b84d542dd6b0498b2825188557cc2a4cdd67fc6cd65d87265ff3706520610856"
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_float_path_computes_the_lifted_formula(name):
+    # each formula is written once; on floats it calls math's primitives, on
+    # a vector holding any Dual the lifted ones.  Every coordinate vector,
+    # all floats, all Duals or a float/Dual/int mix, gives the same value
+    f = get_field(name)
+    rng = random.Random(11)
+    for p in _raw_points(f):
+        want = float.hex(f.raw_value(list(p)))
+        duals = [Dual(c, rng.uniform(-1.0, 1.0)) for c in p]
+        assert float.hex(f.raw_value(duals).primal) == want
+        ints = [float(int(c)) for c in p]  # integral, exact as int or float
+        mixes = ([int(c) for c in ints],
+                 [Dual(c) if i % 2 else int(c) for i, c in enumerate(ints)],
+                 [c if i % 2 else Dual(c, 1.0) for i, c in enumerate(ints)])
+        for mixed in mixes:
+            out = f.raw_value(mixed)
+            out = out.primal if isinstance(out, Dual) else float(out)
+            assert float.hex(out) == float.hex(f.raw_value(ints))
 
 
 def test_dimension_mismatch_raises():
