@@ -8,16 +8,33 @@ O(h^2) truncation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
-@dataclass(frozen=True)
 class Dual:
-    """Dual number primal + tangent*eps with eps^2 = 0."""
+    """Dual number primal + tangent*eps with eps^2 = 0.
 
-    primal: float
-    tangent: float = 0.0
+    Equality and hash go by the ``(primal, tangent)`` tuple, as for a frozen
+    dataclass; ``__slots__`` makes one cheap to build, but instances are
+    immutable by convention only: nothing assigns to one after ``__init__``.
+    """
+
+    __slots__ = ("primal", "tangent")
+
+    def __init__(self, primal: float, tangent: float = 0.0):
+        self.primal = primal
+        self.tangent = tangent
+
+    def __eq__(self, other):
+        if type(other) is not Dual:
+            return NotImplemented
+        return (self.primal, self.tangent) == (other.primal, other.tangent)
+
+    def __hash__(self):
+        return hash((self.primal, self.tangent))
+
+    def __repr__(self):
+        return f"Dual(primal={self.primal!r}, tangent={self.tangent!r})"
 
     def __add__(self, other):
         other = _lift(other)

@@ -189,7 +189,10 @@ def _quadratic(coords):
 
 
 def _quadratic_grad(theta):
-    return tuple(2.0 * t for t in theta)
+    grad = []
+    for t in theta:  # a loop: for one or two coordinates a generator costs more
+        grad.append(2.0 * t)
+    return grad
 
 
 def _rastrigin(coords):

@@ -180,6 +180,8 @@ def sample_contour(l_slice: float, lam: float = 1.0,
         raise ValueError("l_slice must be finite and nonnegative")
     if not all(map(math.isfinite, (*a_range, *b_range))):
         raise ValueError("ranges must be finite")
+    if a_range[0] == a_range[1] or b_range[0] == b_range[1]:
+        raise ValueError("ranges must have nonzero width")
     cfg = cfg or AugConfig(lam=lam)
     if cfg.lam != lam:
         raise ValueError(f"lam {lam!r} disagrees with cfg.lam {cfg.lam!r}")

@@ -1,11 +1,13 @@
 """Standalone SVG rendering of contour grids via marching squares.
 
 Output is a deterministic string: no timestamps, fixed float formatting, so
-repeated invocations are byte-identical.
+repeated invocations are byte-identical.  Marching squares builds nothing for
+a cell its level does not cross: the case comes from precomputed ``v > level``
+rows, and the edge table and interpolation live at module level.
 """
 from __future__ import annotations
 
-import math
+from math import fsum, isfinite
 
 from .landscape import ContourGrid
 
@@ -18,7 +20,7 @@ _PALETTE = ["#1f77b4", "#2b8cbe", "#41ab5d", "#78c679", "#addd8e",
 
 def default_levels(grid: ContourGrid) -> list[float]:
     """Deciles of the finite grid values; duplicates removed, order kept."""
-    flat = sorted(v for row in grid.values for v in row if math.isfinite(v))
+    flat = sorted(v for row in grid.values for v in row if isfinite(v))
     if not flat:
         return []
     levels = []
@@ -29,49 +31,49 @@ def default_levels(grid: ContourGrid) -> list[float]:
     return levels
 
 
+# corners 0 (i, j), 1 (i+1, j), 2 (i+1, j+1), 3 (i, j+1); bit k of a cell's case
+# is set when corner k lies above the level; each edge is the corners it joins
+_S, _E, _N, _W = (0, 1), (1, 2), (3, 2), (0, 3)
+_CASE_EDGES = {
+    1: ((_W, _S),), 2: ((_S, _E),), 3: ((_W, _E),), 4: ((_E, _N),),
+    6: ((_S, _N),), 7: ((_W, _N),), 8: ((_W, _N),), 9: ((_S, _N),),
+    11: ((_E, _N),), 12: ((_W, _E),), 13: ((_S, _E),), 14: ((_S, _W),),
+}
+_SADDLE_JOINED = ((_W, _N), (_S, _E))  # saddles 5 and 10, by the cell-centre value
+_SADDLE_SPLIT = ((_W, _S), (_E, _N))
+
+
+def _lerp(level, p, q, vp, vq):
+    # each picked edge joins a corner above the level to one not above: vq != vp
+    t = (level - vp) / (vq - vp)
+    return p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+
+
 def _segments(grid: ContourGrid, level: float) -> list[tuple[float, float, float, float]]:
-    """Marching squares: line segments (in grid coordinates) of one level set."""
-    V = grid.values
-    A = grid.a_axis
-    B = grid.b_axis
+    """Marching squares: line segments (in grid coordinates) of one level set,
+    row-major, skipping cells with a non-finite corner."""
+    V, A, B = grid.values, grid.a_axis, grid.b_axis
+    high = [[v > level for v in row] for row in V]
     segs = []
     for i in range(len(A) - 1):
+        h0, h1 = high[i], high[i + 1]
         for j in range(len(B) - 1):
+            case = h0[j] | h1[j] << 1 | h1[j + 1] << 2 | h0[j + 1] << 3
+            if case == 0 or case == 15:
+                continue
             corners = (V[i][j], V[i + 1][j], V[i + 1][j + 1], V[i][j + 1])
-            if not all(map(math.isfinite, corners)):
+            if not all(map(isfinite, corners)):
                 continue
-            case = sum(1 << k for k, c in enumerate(corners) if c > level)
-            if case in (0, 15):
-                continue
-
-            def lerp(p, q, vp, vq):
-                t = 0.5 if vq == vp else (level - vp) / (vq - vp)
-                return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-            pts = {
-                "s": ((A[i], B[j]), (A[i + 1], B[j]), corners[0], corners[1]),
-                "e": ((A[i + 1], B[j]), (A[i + 1], B[j + 1]), corners[1], corners[2]),
-                "n": ((A[i], B[j + 1]), (A[i + 1], B[j + 1]), corners[3], corners[2]),
-                "w": ((A[i], B[j]), (A[i], B[j + 1]), corners[0], corners[3]),
-            }
-            edges = {
-                1: ("w", "s"), 2: ("s", "e"), 3: ("w", "e"), 4: ("e", "n"),
-                6: ("s", "n"), 7: ("w", "n"), 8: ("w", "n"), 9: ("s", "n"),
-                11: ("e", "n"), 12: ("w", "e"), 13: ("s", "e"), 14: ("s", "w"),
-            }
-            if case in (5, 10):
-                # ambiguous saddle: resolve by the cell-center value
-                center = 0.25 * math.fsum(corners)
-                if (case == 5) == (center > level):
-                    pairs = [("w", "n"), ("s", "e")]
-                else:
-                    pairs = [("w", "s"), ("e", "n")]
+            if case == 5 or case == 10:
+                center = 0.25 * fsum(corners)
+                pairs = _SADDLE_JOINED if (case == 5) == (center > level) else _SADDLE_SPLIT
             else:
-                pairs = [edges[case]]
-            for e1, e2 in pairs:
-                p1 = lerp(*pts[e1])
-                p2 = lerp(*pts[e2])
-                segs.append((p1[0], p1[1], p2[0], p2[1]))
+                pairs = _CASE_EDGES[case]
+            xy = ((A[i], B[j]), (A[i + 1], B[j]), (A[i + 1], B[j + 1]), (A[i], B[j + 1]))
+            for (k1, m1), (k2, m2) in pairs:
+                x1, y1 = _lerp(level, xy[k1], xy[m1], corners[k1], corners[m1])
+                x2, y2 = _lerp(level, xy[k2], xy[m2], corners[k2], corners[m2])
+                segs.append((x1, y1, x2, y2))
     return segs
 
 

@@ -108,6 +108,16 @@ def test_contour_rejects_non_finite_levels(tmp_path, level):
     assert "--levels" in r.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["--a-range", "--b-range"])
+def test_contour_rejects_a_zero_width_range(tmp_path, axis):
+    # a zero-width axis has no extent to draw: the SVG's pixel map would
+    # divide by zero, so the range is refused before any file is written
+    out = tmp_path / axis.strip("-")
+    r = run_cli("contour", axis, "1", "1", "--resolution", "5", "--svg", "--out", str(out))
+    assert r.returncode == 2
+    assert "range" in r.stderr and "Traceback" not in r.stderr and not out.exists()
+
+
 def test_contour_unwritable_output():
     r = run_cli("contour", "--out", "/proc/definitely/not/writable")
     assert r.returncode == 4

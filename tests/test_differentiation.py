@@ -1,4 +1,5 @@
 """Dual-number arithmetic laws and the two derivative oracles."""
+import hashlib
 import math
 import random
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfinity import AugConfig, AugPoint, augment, evaluate, get_field, gradient
+from minfinity import AugConfig, AugPoint, augment, evaluate, field_names, get_field, gradient
 from minfinity.augment import AugGradient, lifted_loss
-from minfinity.verify import FD_TOL, grad_check_suite
+from minfinity.verify import FD_TOL, _sample_point, grad_check_suite
 from minfinity.differentiation import Dual, dual_gradient, fd_gradient
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -180,3 +181,50 @@ def test_grad_check_flags_a_gradient_off_by_1e_5(monkeypatch):
     out = grad_check_suite(seed=108, fields=["quadratic-2d"])
     assert out["checks"][0]["points"] == 1000
     assert out["violations_total"] == 7989
+
+
+# --- the Dual contract ------------------------------------------------------
+
+def test_dual_equality_and_hash_follow_the_value_tuple():
+    x = Dual(1.5, -2.0)
+    assert x == Dual(1.5, -2.0) and x == Dual(primal=1.5, tangent=-2.0)
+    assert x != Dual(1.5, 2.0) and x != Dual(-1.5, -2.0)
+    assert Dual(3.0) == Dual(3.0, 0.0)
+    assert hash(x) == hash(Dual(1.5, -2.0)) == hash((1.5, -2.0))
+    assert len({x, Dual(1.5, -2.0), Dual(3.0)}) == 2
+    # against anything but a Dual, equality is left to the other operand
+    assert x.__eq__((1.5, -2.0)) is NotImplemented
+    assert Dual(3.0) != 3.0 and 3.0 != Dual(3.0) and Dual(3.0) != (3.0, 0.0)
+
+
+def test_dual_nan_compares_like_a_tuple():
+    # tuple comparison tries identity first: the very same NaN object is
+    # equal to itself, two distinct NaNs are not
+    nan = float("nan")
+    assert Dual(nan, 1.0) == Dual(nan, 1.0)
+    assert Dual(1.0, nan) == Dual(1.0, nan)
+    assert Dual(nan, 1.0) != Dual(float("nan"), 1.0)
+    x = Dual(float("nan"))
+    assert x == x
+
+
+def test_dual_repr():
+    assert repr(Dual(1.5, -0.0)) == "Dual(primal=1.5, tangent=-0.0)"
+    assert repr(Dual(2)) == "Dual(primal=2, tangent=0.0)"
+    assert repr(Dual(math.inf, 1e-300)) == "Dual(primal=inf, tangent=1e-300)"
+
+
+def test_dual_oracle_is_bitwise_stable():
+    # sha256 of float.hex of dual_gradient of the lifted loss at seeded
+    # grad-check points on every field, recorded while Dual was a frozen
+    # dataclass
+    lines = []
+    for name in field_names():
+        field = get_field(name)
+        lifted = lifted_loss(field, AugConfig().lam)
+        rng = random.Random(23)
+        for _ in range(40):
+            coords = _sample_point(field, rng).coords()
+            lines.append(" ".join([name, *map(float.hex, dual_gradient(lifted, coords))]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "285db025ff3fa06d59b98aeba77ed54bba3a27dd74b1b2b636703004763cd636"

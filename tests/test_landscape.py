@@ -364,3 +364,49 @@ def test_svg_respects_explicit_levels():
     grid = sample_contour(1.0, 1.0, resolution=31)
     svg = render_svg(grid, levels=[2.0, 4.0])
     assert svg.count("<path ") == 2
+
+
+def _checkerboard() -> ContourGrid:
+    # alternate high and low corners with a tilt, so the saddle cases 5 and
+    # 10 occur with the cell centre on either side of levels 1.0 and 1.3
+    n = 7
+    values = [[((i + j) % 2) * 2.0 + 0.13 * i - 0.07 * j for j in range(n)] for i in range(n)]
+    return ContourGrid([float(i) for i in range(n)], [0.5 * j for j in range(n)],
+                       values, 1.0, 1.0, [])
+
+
+def _svg_cases():
+    low, high = sample_contour(0.0), sample_contour(1.0)
+    yield "default L=0", low, None
+    yield "default L=1", high, None
+    # levels equal to grid values put contour points exactly on corners
+    on_grid = sample_contour(1.0, resolution=21)
+    yield "on-grid levels", on_grid, [on_grid.values[10][12], on_grid.values[4][15],
+                                      on_grid.values[17][3]]
+    yield "on-grid levels L=0", low, [low.values[40][7], low.values[50][3]]
+    yield "saddles", _checkerboard(), [1.0, 1.3]
+    # (u - 1)^2 overflows past b of about 355 under flag-and-saturate
+    overflow = sample_contour(1.0, b_range=(300.0, 420.0), resolution=21)
+    assert sum(not math.isfinite(v) for row in overflow.values for v in row) > 0
+    yield "non-finite", overflow, None
+
+
+def test_svg_bytes_are_pinned():
+    # sha256 of each render_svg document, recorded before marching squares
+    # read its cases from precomputed rows
+    got = {name: hashlib.sha256(render_svg(grid, levels).encode()).hexdigest()
+           for name, grid, levels in _svg_cases()}
+    assert got == {
+        "default L=0": "9a8a215caa91b3003c2b5e5952da22842bb41ce2af3461dcab7a8e3f0af99f2d",
+        "default L=1": "df7385f6568df6a4b374b5b3699224b16858f9fd6b7dd249a7595cd99081ab18",
+        "on-grid levels": "2b2b51988e96e0e2d0b127733f8670abdc9ff47e45ba7ceb506c2d17e9254060",
+        "on-grid levels L=0": "e81fdb14e9f54a55b6627468acc7ef1cc46653389657438f47fe72e43e5421af",
+        "saddles": "847dd4e75cda5a33ad77cc925281b18a9bece9567009feaf08606b8594fad7f3",
+        "non-finite": "8dfd701bbffeb33a8cee175ff67bb5d312e7337386d7adb9e270db8f24dcd6ee",
+    }
+
+
+@pytest.mark.parametrize("ranges", [{"a_range": (1.0, 1.0)}, {"b_range": (-0.0, 0.0)}])
+def test_contour_rejects_a_zero_width_range(ranges):
+    with pytest.raises(ValueError, match="range"):
+        sample_contour(1.0, resolution=5, **ranges)

@@ -166,3 +166,13 @@ def test_optimizer_loop_builds_no_point():
     assert loops
     assert not any(isinstance(node, ast.Name) and node.id == "AugPoint"
                    for loop in loops for node in ast.walk(loop))
+
+
+def test_marching_squares_builds_no_table_per_cell():
+    # the edge table and the interpolation live at module level; a cell the
+    # level does not cross costs a few boolean reads and nothing more
+    loops = [node for node in ast.walk(_function("svgplot.py", "_segments"))
+             if isinstance(node, (ast.While, ast.For))]
+    assert loops
+    assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda, ast.Dict))
+                   for loop in loops for node in ast.walk(loop))
