@@ -18,9 +18,9 @@ scalar core :func:`_terms` and its derivative half :func:`_slopes`.
 ``eval_u``, ``evaluate``, ``gradient``, ``slice_value`` and the fast closures
 call it, and their saturation-policy checks wrap it.  ``lifted_loss`` stays a
 separate route on purpose: it is the dual-number oracle the core is checked
-against.  The certificate of a finite critical point and the signature of a
-run heading to b -> inf are written once too, as the methods of
-:class:`Thresholds`.
+against.  The certificate of a finite critical point, the signature of a
+run heading to b -> inf and the test for a bad minimum's channel are written
+once too, as the methods of :class:`Thresholds`.
 """
 from __future__ import annotations
 
@@ -60,7 +60,8 @@ class AugConfig:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The certificate and the divergence signature, with their one set of limits.
+    """The certificate, the divergence signature and the channel test, with
+    their one set of limits.
 
     ``grad_tol`` both stops an optimizer run and certifies it.  ``loss_tol``
     and ``a_tol`` also bound the base loss and ``|a|`` of every converged
@@ -95,6 +96,21 @@ class Thresholds:
         """The divergence signature: b at or past b_max, u = a*exp(b) within
         ``u_window`` of 1, and |a| within 10*a_tol."""
         return b >= self.b_max and abs(u - 1.0) <= self.u_window and abs(a) <= 10.0 * self.a_tol
+
+    def in_channel(self, theta_grad_norm: float, base_loss: float, u: float) -> bool:
+        """A bad minimum's channel: theta stationary (``|grad_theta V| <=
+        grad_tol``) at a bad base loss (``L > loss_tol``), with u = a*exp(b)
+        within ``u_window`` of 1.
+
+        No point there certifies.  :meth:`certifies` needs ``2*L*exp(b) <=
+        grad_tol``, so ``exp(b) < grad_tol / (2*loss_tol)`` and ``|a| =
+        |u|*exp(-b) > (1 - u_window) * 2*loss_tol / grad_tol`` (1.8e4 with
+        the defaults).  Then ``|dV/da| >= 2*lam*|a| - u_window*grad_tol``
+        exceeds ``grad_tol`` for every lam above ``grad_tol**2 * (1 +
+        u_window) / (4 * (1 - u_window) * loss_tol)`` (3.1e-13).
+        """
+        return (theta_grad_norm <= self.grad_tol and base_loss > self.loss_tol
+                and abs(u - 1.0) <= self.u_window)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ along a*exp(b) = 1, and dense contour grids with a discrete-minimum scan.
 
 The finder is the numerical check of the core claim: every finite point where
 the augmented gradient vanishes (within tolerance, with |b| bounded) must sit
-at base loss 0 with a at 0.  Runs that chase b to infinity are reported
+at base loss 0 with a at 0.  Runs that chase b to infinity, or that sit in a
+bad minimum's channel on the way there, are stopped early and reported
 unconverged rather than discarded.
 """
 from __future__ import annotations
@@ -39,17 +40,33 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
 
     Seeds draw theta uniformly from the field's box, a from [-2, 2] and b from
     [-3, 3].  A report is converged only when the descent reached
-    ``Thresholds().grad_tol`` and :meth:`Thresholds.certifies` the end point;
-    runs whose |b| exceeds ``Thresholds().b_max`` by a margin are abandoned
-    early (they are following the valley to infinity).  The fast closures
-    never raise on an exponent guard, whatever the saturation policy.
+    ``Thresholds().grad_tol`` and :meth:`Thresholds.certifies` the end point.
+    A seed also ends early, unconverged, when it is following the valley to
+    infinity: at any iterate whose |b| exceeds ``Thresholds().b_max`` by a
+    margin, and at any phase-1 iterate that :meth:`Thresholds.in_channel`
+    places in a bad minimum's channel, where no point certifies.  The base
+    loss for that test is read off the value, ``(V - lam*a^2) / (1 +
+    (u - 1)^2)``.  The fast closures never raise on an exponent guard,
+    whatever the saturation policy.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     thr = Thresholds()
-    value_fn, grad_fn = fast_value_and_grad(field, cfg or AugConfig())
+    cfg = cfg or AugConfig()
+    value_fn, grad_fn = fast_value_and_grad(field, cfg)
     rng = random.Random(seed)
+    dim, lam, clamp = field.dim, cfg.lam, cfg.b_clamp
     escape_at = thr.b_max + B_ESCAPE_MARGIN
+
+    def escape(x, v, g):
+        a, b = x[dim], x[dim + 1]
+        if abs(b) > escape_at:
+            return True
+        if g is None:  # the polish phase: the |b| escape alone
+            return False
+        u = _terms(0.0, a, b, lam, clamp)[2]
+        dev = u - 1.0
+        return thr.in_channel(math.hypot(*g[:dim]), (v - lam * a * a) / (1.0 + dev * dev), u)
 
     reports = []
     for index in range(n_seeds):
@@ -60,7 +77,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             grad_tol=thr.grad_tol,
             max_iters=3000,
             polish_iters=2000,
-            escape=lambda x: abs(x[-1]) > escape_at,
+            escape=escape,
             clamp_lower=field.lower,
             clamp_upper=field.upper,
         )
@@ -110,7 +127,7 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
 
     res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
                   max_iters=80, polish_iters=0,
-                  escape=lambda x: abs(x[1]) > b_max + B_ESCAPE_MARGIN)
+                  escape=lambda x, v, g: abs(x[1]) > b_max + B_ESCAPE_MARGIN)
     return min(best, res.value)
 
 

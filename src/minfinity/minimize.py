@@ -1,5 +1,5 @@
-"""Damped gradient descent with backtracking, shared by normalization and the
-critical-point finder.
+"""Damped gradient descent with backtracking, shared by the critical-point
+finder, the infimum probe and normalization.
 
 Phase 1 backtracks from a carried step until an Armijo sufficient-decrease
 test passes, with the displacement norm capped (no teleporting across the
@@ -59,15 +59,19 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             grad_tol: float = 1e-8,
             max_iters: int = 3000,
             polish_iters: int = 2000,
-            escape: Callable[[Sequence[float]], bool] | None = None,
+            escape: Callable[..., bool] | None = None,
             clamp_lower: Sequence[float] | None = None,
             clamp_upper: Sequence[float] | None = None) -> DescentResult:
     """Minimize until the gradient norm reaches ``grad_tol`` or budgets expire.
 
-    ``escape`` marks runs that wandered out of the region of interest; they are
-    abandoned and reported unconverged.  ``clamp_lower``/``clamp_upper`` project
-    the leading coordinates onto a box after every trial step; the projection
-    works in place on the fresh trial list, before any closure sees it.
+    ``escape(x, v, g)`` marks runs that wandered out of the region of
+    interest; they are abandoned and reported unconverged.  It gets what
+    descend already holds at the iterate: in phase 1 the point, its value and
+    its gradient, in the polish phase the point with ``None`` for the other
+    two; descend makes no closure call for it.  ``clamp_lower`` and
+    ``clamp_upper`` project the leading coordinates onto a box after every
+    trial step; the projection works in place on the fresh trial list, before
+    any closure sees it.
 
     The closures may rely on this: every point descend passes is a list it
     built itself, and it never mutates a list after passing it to a closure.
@@ -96,7 +100,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             return DescentResult(x, v, gn, iterations, False)
         if gn <= grad_tol:
             return DescentResult(x, v, gn, iterations, True)
-        if escape is not None and escape(x):
+        if escape is not None and escape(x, v, g):
             return DescentResult(x, v, gn, iterations, False, escaped=True)
         s = min(step, STEP_CAP / gn)
         accepted = False
@@ -147,7 +151,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
                 continue
         if gn <= grad_tol:
             break
-        if escape is not None and escape(x):
+        if escape is not None and escape(x, None, None):
             break
         x = [xi - eta * gi for xi, gi in zip(x, g)]
         _clip(x, box)

@@ -250,6 +250,20 @@ def test_divergence_signature_edges():
     assert not thr.diverging(0.0, b_max, math.nextafter(0.75, -math.inf))
 
 
+def test_channel_edges():
+    thr = Thresholds()
+    tol, bad = thr.grad_tol, thr.loss_tol
+    just_bad = math.nextafter(bad, math.inf)
+    assert thr.in_channel(tol, just_bad, 1.0)
+    assert not thr.in_channel(math.nextafter(tol, math.inf), just_bad, 1.0)
+    assert not thr.in_channel(0.0, bad, 1.0)
+    # with u_window = 0.1, 1.1 - 1.0 rounds above the window and 0.9 - 1.0
+    # does not: the last floats inside are the one below 1.1, and 0.9
+    for inside, outside in ((math.nextafter(1.1, 1.0), 1.1), (0.9, math.nextafter(0.9, 0.0))):
+        assert thr.in_channel(0.0, just_bad, inside)
+        assert not thr.in_channel(0.0, just_bad, outside)
+
+
 def test_thresholds_reject_a_grad_tol_that_is_not_a_positive_real():
     for tol in (0.0, -1e-8, math.inf, math.nan):
         with pytest.raises(ValueError, match="grad_tol must be a positive real"):

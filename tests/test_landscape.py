@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from minfinity import (AugConfig, ContourGrid, eval_u, field_names, find_critical_points,
-                       get_field, gradient, landscape, probe_infimum, sample_contour,
-                       stationarity_scan)
+from minfinity import (AugConfig, ContourGrid, Thresholds, cli, eval_u, field_names,
+                       find_critical_points, get_field, gradient, landscape, probe_infimum,
+                       sample_contour, stationarity_scan, verify)
 from minfinity.augment import POLICY_ERROR, POLICY_SATURATE, fast_value_and_grad
-from minfinity.minimize import _clip
+from minfinity.minimize import _clip, descend
 from minfinity.svgplot import default_levels, render_svg
 from test_optimize import _counting
 
@@ -32,6 +32,14 @@ def test_quadratic_critical_points_cluster_at_the_global_minimum():
     # b is free on the critical manifold: no clustering expected there
     bs = sorted(r.point.b for r in converged)
     assert bs[-1] - bs[0] > 0.5
+
+
+def test_quadratic_keeps_every_certified_seed():
+    # quadratic-1d has no bad minimum, so the channel exit must cost it no
+    # certificate: before the exit, criterion 1's sweep certified all 256
+    # starts but start 105, which spends its budget
+    reports = find_critical_points(get_field("quadratic-1d"), CFG, n_seeds=256, seed=2025)
+    assert [r.seed_index for r in reports if not r.converged] == [105]
 
 
 def test_every_seed_is_reported():
@@ -73,18 +81,71 @@ def test_finder_reports_do_not_depend_on_the_saturation_policy():
 
 def test_finder_reports_are_bitwise_stable():
     # three seeds per field at seed 2: runs that converge in phase 1, that
-    # spend the whole 3000-iteration budget, and that stall into the polish
-    # phase (ending converged or not).  The sha256 of float.hex of every
-    # report field was recorded before descend and the fast closures were
-    # tuned, so any change in their arithmetic or call order shows here
-    lines = []
+    # leave by the |b| escape or a channel, that spend the whole
+    # 3000-iteration budget, and that stall into the polish phase (ending
+    # converged or not).  The sha256 of float.hex of every report field, one
+    # digest for the converged reports and one for the rest.  The converged
+    # digest was recorded before descend and the fast closures were tuned and
+    # before the channel exit, so any change in their arithmetic or call
+    # order shows here; the other was recorded with the channel exit
+    lines = {True: [], False: []}
     for name in sorted(field_names()):
         for r in find_critical_points(get_field(name), CFG, n_seeds=3, seed=2):
             nums = (*r.point.theta, r.point.a, r.point.b, r.grad_norm, r.base_loss)
-            lines.append(" ".join([name, *map(float.hex, nums), str(r.converged),
-                                   str(r.iterations), str(r.seed_index)]))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "10ca0fd609ad090a7946971541333acbc58fc854b1519c52589947776d52fc21"
+            lines[r.converged].append(" ".join([name, *map(float.hex, nums), str(r.converged),
+                                                str(r.iterations), str(r.seed_index)]))
+    digest = {k: hashlib.sha256("\n".join(v).encode()).hexdigest() for k, v in lines.items()}
+    assert digest[True] == "a8ec8cb7847de611ca9db04d7ba20755d48c2da896b2964ed9133bb66720afa1"
+    assert digest[False] == "86b4fa79e3b3b322d8176beafd9430f1ae8f1f92ae38a334f02dad5062ae6332"
+
+
+def test_critical_point_suite_text_is_pinned():
+    # the verify report, which holds only converged reports and counts, is
+    # the finder's visible output: its bytes were recorded before the
+    # channel exit, which may end only seeds that never certify
+    text = cli._json(verify.critical_point_suite(seed=1, n_seeds=32))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "289e5f39697c77f2984b938ab75dd8ceef4d82fb856a371061bff6ca41f54c89"
+
+
+def _finder_descent_from(field, x0, monkeypatch):
+    # the finder's own descent, closures and escape, from a chosen start
+    ended = []
+
+    def from_x0(value_fn, grad_fn, _, **kwargs):
+        ended.append(descend(value_fn, grad_fn, x0, **kwargs))
+        return ended[-1]
+
+    monkeypatch.setattr(landscape, "descend", from_x0)
+    report, = find_critical_points(field, CFG, n_seeds=1)
+    return ended[0], report
+
+
+def test_the_finder_leaves_bad_minima_by_their_channel(monkeypatch):
+    # from each registered bad minimum with a = 0.1 and b = 0, theta stays
+    # put while (a, b) slide into the valley u = 1, and the channel exit ends
+    # the run there, unconverged, with L at the bad value and |b| far from the
+    # |b| escape.  Rastrigin's narrow wells are the exception: phase 1's
+    # doubled steps throw theta about in them, with |grad_theta V| between
+    # 0.03 and 1.  At 0.995 (in 1-d and on both 2-d axes) that lasts the whole
+    # budget, as before the exit; at 1.99 theta settles after 2564 iterations
+    thr = Thresholds()
+    iterations = {}
+    for name in sorted(field_names()):
+        field = get_field(name)
+        for k, bad in enumerate(field.bad_minima):
+            res, report = _finder_descent_from(field, [*bad.point, 0.1, 0.0], monkeypatch)
+            iterations[name, k] = res.iterations
+            assert not report.converged and res.escaped == (res.iterations < 3000)
+            if res.escaped:
+                assert report.base_loss == pytest.approx(bad.value, rel=1e-14)
+                assert abs(report.point.b) < thr.b_max
+    assert iterations == {
+        ("ackley-2d", 0): 3, ("ackley-2d", 1): 3, ("ackley-2d", 2): 3,
+        ("double-well-1d", 0): 11, ("quadratic-plus-one-1d", 0): 4,
+        ("rastrigin-1d", 0): 3000, ("rastrigin-1d", 1): 2564,
+        ("rastrigin-2d", 0): 3000, ("rastrigin-2d", 1): 3000, ("rastrigin-2d", 2): 2,
+    }
 
 
 def test_in_place_projection_is_the_min_max_clamp():
@@ -136,9 +197,14 @@ def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
     # The counts predicted that way are exact; the finder adds one validated
     # field.value per report
     field, calls = _counting(get_field("double-well-1d"))
+    # theta never moves on a flat base loss; at L = 5e-5, under loss_tol, the
+    # channel exit leaves the start alone
+    flat, flat_calls = _counting(replace(get_field("double-well-1d"), offset=-5e-5,
+                                         raw_value=lambda t: 0.0,
+                                         raw_gradient=lambda t: (0.0,)))
     seen = {"value": 0, "grad": 0, "grad_elsewhere": 0}
     want = {"raw_value": 0, "raw_gradient": 0}
-    last = {"x": None, "raw_value": None, "raw_gradient": None}
+    last = {}
 
     def moved(kind, x):
         theta = x[:field.dim]
@@ -147,6 +213,7 @@ def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
             last[kind] = _bits(theta)
 
     def counted_pair(f, cfg):
+        last.update({"x": None, "raw_value": None, "raw_gradient": None})
         value_fn, grad_fn = fast_value_and_grad(f, cfg)
 
         def value(x):
@@ -166,8 +233,13 @@ def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
 
     monkeypatch.setattr(landscape, "fast_value_and_grad", counted_pair)
     reports = find_critical_points(field, CFG, n_seeds=3, seed=2)
-    # seed 2 runs one start through the polish phase, one to the budget, and
-    # the budget run sits still in theta while b creeps up
+    # seed 2 runs one start through the polish phase and one into a channel,
+    # which the exit ends at iteration 22; seed 1 on the flat loss runs to
+    # the budget, sitting still in theta while b creeps up
+    reports += find_critical_points(flat, CFG, n_seeds=1, seed=1)
+    assert reports[-1].iterations == 3000
+    for k, n in flat_calls.items():
+        calls[k] += n
     assert 0 < seen["grad_elsewhere"] < seen["grad"] // 2
     assert calls["raw_gradient"] == want["raw_gradient"] < seen["grad"] // 2
     assert calls["raw_value"] == want["raw_value"] + len(reports)

@@ -1,8 +1,8 @@
 """Source guards: the log-space product, the floor slack, the default of each
-threshold and the JSON document format are each written once, no field is
-built by a descent, the finder's closures keep the shapes the benchmark's
-tracer wraps, and trajectory rows have one append path and no per-step
-point."""
+threshold and the JSON document format are each written once, the channel
+exit takes its limits from Thresholds alone, no field is built by a descent,
+the finder's closures keep the shapes the benchmark's tracer wraps, and
+trajectory rows have one append path and no per-step point."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -50,17 +50,20 @@ def _defaults(owner):
 
 
 def test_threshold_defaults_are_written_once():
-    # b_max = 20.0 and grad_tol = 1e-8 are defaults of Thresholds; every reader
-    # in the package takes them from a Thresholds instance.  descend keeps its
-    # own default only for outside callers that pass no tolerance (the
-    # benchmark's helper tests); every call in the package passes one
-    wanted = {"b_max": 20.0, "grad_tol": 1e-8}
+    # b_max = 20.0, grad_tol = 1e-8, loss_tol = 1e-4 and u_window = 0.1 are
+    # defaults of Thresholds; every reader in the package takes them from a
+    # Thresholds instance.  descend keeps its own default only for outside
+    # callers that pass no tolerance (the benchmark's helper tests); every
+    # call in the package passes one
+    wanted = {"b_max": 20.0, "grad_tol": 1e-8, "loss_tol": 1e-4, "u_window": 0.1}
     found = [(name, owner.name, key) for name, owner in _nodes()
              if isinstance(owner, (ast.ClassDef, ast.FunctionDef))
              for key, d in _defaults(owner)
              if key in wanted and isinstance(d, ast.Constant) and d.value == wanted[key]]
     assert sorted(found) == [("augment.py", "Thresholds", "b_max"),
                              ("augment.py", "Thresholds", "grad_tol"),
+                             ("augment.py", "Thresholds", "loss_tol"),
+                             ("augment.py", "Thresholds", "u_window"),
                              ("minimize.py", "descend", "grad_tol")]
     calls = [node for _, node in _nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "descend"]
@@ -69,6 +72,30 @@ def test_threshold_defaults_are_written_once():
 
 def _calls(node, name: str) -> bool:
     return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+
+def test_channel_exit_limits_come_from_thresholds():
+    # the finder's channel exit is Thresholds.in_channel: it reads the three
+    # limits off the instance, and the finder's module holds no copy of their
+    # values (1e-8, 1e-4, 0.1) to test against instead
+    limits = ("grad_tol", "loss_tol", "u_window")
+    tree = ast.parse((SRC / "augment.py").read_text())
+    thresholds = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "Thresholds")
+    in_channel = next(node for node in thresholds.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "in_channel")
+    read = sorted(node.attr for node in ast.walk(in_channel)
+                  if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self")
+    assert read == sorted(limits)
+    assert [node.value for node in ast.walk(in_channel)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)] == [1.0]
+    values = {d.value for key, d in _defaults(thresholds) if key in limits}
+    assert values == {1e-8, 1e-4, 0.1}
+    assert [ast.unparse(node) for name, node in _nodes() if name == "landscape.py"
+            and isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and node.value in values] == []
+    finder = _function("landscape.py", "find_critical_points")
+    assert sum(_calls(node, "in_channel") for node in ast.walk(finder)) == 1
 
 
 def test_no_field_is_built_by_a_descent():
