@@ -127,19 +127,6 @@ class AugPoint:
                 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"non-finite augmented point ({self.theta}, {self.a}, {self.b})")
 
-    @classmethod
-    def from_finite(cls, theta: tuple[float, ...], a: float, b: float) -> "AugPoint":
-        """Build without the conversion and checks of ``__init__``.
-
-        The caller guarantees a tuple of finite floats and finite float
-        ``a``, ``b``: for hot loops that have already proved this.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "theta", theta)
-        object.__setattr__(p, "a", a)
-        object.__setattr__(p, "b", b)
-        return p
-
     def coords(self) -> list[float]:
         return list(self.theta) + [self.a, self.b]
 
@@ -325,22 +312,10 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     The same :func:`_terms` arithmetic as :func:`fast_kernel`; ``value`` stops
     before the derivatives.  Same caveats as that kernel.
 
-    The pair's one reuse rule: ``L = raw_value(theta) - offset`` is reused
-    from the pair's last ``raw_value`` call, and ``grad L =
-    raw_gradient(theta)`` from its last ``raw_gradient`` call, whenever theta
-    is bitwise the same there.  For float coordinates that is list equality
-    with no zero coordinate: ``0.0 == -0.0``, and the two can give different
-    bits downstream, while a NaN matches only the very same object.  ``grad``
-    also reuses the floored ``L`` and the ``u`` that ``value`` computed when
-    it gets back the very list object ``value`` last saw.  Every reused
-    quantity is what a fresh call would compute, so the results are bitwise
-    those of a fresh pair.
-
-    The caller may mutate a list once it is done with it, but not between
-    passing it to ``value`` and to ``grad``.  A returned gradient is the
-    caller's to keep or mutate; the pair keeps its own slices of theta and
-    never hands out what ``raw_gradient`` returned.  :func:`minimize.descend`
-    mutates no list after passing it.
+    The pair's one reuse rule: ``grad`` reuses the floored ``L`` and the ``u``
+    that ``value`` computed when it gets back the very list object ``value``
+    last saw, so the caller must not mutate a list between the two calls.
+    Results are bitwise those of a fresh pair.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -348,29 +323,21 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     offset = field.offset
     lam = cfg.lam
     clamp = cfg.b_clamp
-    v_at = g_at = None  # theta of the last raw_value / raw_gradient call
-    v_L = g_L = None  # what that call gave: L (offset applied) / grad L
     seen = None  # the list value() last saw, with its floored L and u
     seen_L = seen_u = 0.0
 
     def value(x):
-        nonlocal v_at, v_L, seen, seen_L, seen_u
-        theta = x[:dim]
-        if not (theta == v_at and 0.0 not in theta):
-            v_at, v_L = theta, raw_value(theta) - offset
-        v, seen_L, seen_u, _ = _terms(v_L, x[dim], x[dim + 1], lam, clamp)
+        nonlocal seen, seen_L, seen_u
+        v, seen_L, seen_u, _ = _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1],
+                                      lam, clamp)
         seen = x
         return v
 
     def grad(x):
-        nonlocal v_at, v_L, g_at, g_L
         theta = x[:dim]
-        if not (theta == g_at and 0.0 not in theta):
-            g_at, g_L = theta, raw_grad(theta)
         if x is seen:
-            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, clamp, g_L)[0]
-        if not (theta == v_at and 0.0 not in theta):
-            v_at, v_L = theta, raw_value(theta) - offset
-        return _terms(v_L, x[dim], x[dim + 1], lam, clamp, g_L)[4]
+            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, clamp, raw_grad(theta))[0]
+        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, clamp,
+                      raw_grad(theta))[4]
 
     return value, grad

@@ -19,7 +19,7 @@ from operator import mul
 from typing import IO, Callable, Sequence
 
 from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
-from .fields import ScalarField
+from .fields import DimensionError, ScalarField
 from .minimize import _clip
 
 CONVERGED = "converged-finite"
@@ -73,9 +73,6 @@ class OutcomeLabel:
 class Trajectory:
     """A recorded run, stored as columns: index ``i`` of every list is one
     recorded step, and :meth:`record` is the only code that appends a row.
-
-    ``points`` is a derived view, built from ``thetas``, ``a_values`` and
-    ``b_values`` on each access; nothing builds an :class:`AugPoint` per step.
     """
 
     field_name: str
@@ -96,7 +93,7 @@ class Trajectory:
     def record(self, step: int, theta: tuple[float, ...], a: float, b: float,
                loss: float, base: float, u: float, grad_norm: float) -> None:
         """Append one row.  ``theta`` is a tuple of finite floats and ``a``,
-        ``b`` are finite floats, as :meth:`AugPoint.from_finite` requires."""
+        ``b`` are finite floats."""
         self.steps.append(step)
         self.thetas.append(theta)
         self.a_values.append(a)
@@ -105,11 +102,6 @@ class Trajectory:
         self.base_losses.append(base)
         self.losses.append(loss)
         self.grad_norms.append(grad_norm)
-
-    @property
-    def points(self) -> list[AugPoint]:
-        """The recorded ``(theta, a, b)`` rows as points, built on each access."""
-        return list(map(AugPoint.from_finite, self.thetas, self.a_values, self.b_values))
 
     def write_csv(self, out: IO[str]) -> None:
         """One header line, then one ``out.write`` per recorded row."""
@@ -224,9 +216,11 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
     ``kernel(x)`` returns ``(V, L, u, grad V)``; one call per step.  Only an
     augmented run checks the divergence signature.  Steps up to
     ``DENSE_RECORD_LIMIT`` are all recorded, then every 10th, and always the
-    last.
+    last.  A theta start of the wrong length raises DimensionError.
     """
     dim = field.dim
+    if len(theta_start) != dim:
+        raise DimensionError(f"{field.name}: expected {dim} coordinates, got {len(theta_start)}")
     ia, ib = dim, dim + 1
     update = _updater(spec, dim + 2)
     diverging = thr.diverging  # bound once: checked every step

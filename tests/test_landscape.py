@@ -165,85 +165,8 @@ def test_in_place_projection_is_the_min_max_clamp():
             assert moved == (want != x)
 
 
-def test_fast_grad_reuses_the_base_loss_of_the_same_list_only():
-    # value then grad on one list: one raw_value, one raw_gradient.  An equal
-    # but distinct list has a bitwise-equal theta, so it reuses both; only a
-    # theta that moved pays for new ones
-    field, calls = _counting(get_field("rastrigin-2d"))
-    value_fn, grad_fn = fast_value_and_grad(field, CFG)
-    x = [0.3, -1.2, 0.05, 1.5]
-    value_fn(x)
-    g = grad_fn(x)
-    assert calls == {"raw_value": 1, "raw_gradient": 1}
-    g_copy = grad_fn(list(x))
-    assert calls == {"raw_value": 1, "raw_gradient": 1}
-    assert list(map(float.hex, g_copy)) == list(map(float.hex, g))
-    grad_fn([0.3, -1.25, 0.05, 1.5])
-    assert calls == {"raw_value": 2, "raw_gradient": 2}
-    # and a pair that never saw a value call gives the very same gradient
-    fresh = fast_value_and_grad(get_field("rastrigin-2d"), CFG)[1](x)
-    assert list(map(float.hex, fresh)) == list(map(float.hex, g))
-
-
 def _bits(xs):
     return struct.pack(f"<{len(xs)}d", *xs)
-
-
-def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
-    # the pair calls raw_value only when theta changed since its last
-    # raw_value call, raw_gradient only when it changed since its last
-    # raw_gradient call, a zero coordinate counting as a change; value calls
-    # need L, and so do gradient calls at a list value has not just seen.
-    # The counts predicted that way are exact; the finder adds one validated
-    # field.value per report
-    field, calls = _counting(get_field("double-well-1d"))
-    # theta never moves on a flat base loss; at L = 5e-5, under loss_tol, the
-    # channel exit leaves the start alone
-    flat, flat_calls = _counting(replace(get_field("double-well-1d"), offset=-5e-5,
-                                         raw_value=lambda t: 0.0,
-                                         raw_gradient=lambda t: (0.0,)))
-    seen = {"value": 0, "grad": 0, "grad_elsewhere": 0}
-    want = {"raw_value": 0, "raw_gradient": 0}
-    last = {}
-
-    def moved(kind, x):
-        theta = x[:field.dim]
-        if last[kind] != _bits(theta) or 0.0 in theta:
-            want[kind] += 1
-            last[kind] = _bits(theta)
-
-    def counted_pair(f, cfg):
-        last.update({"x": None, "raw_value": None, "raw_gradient": None})
-        value_fn, grad_fn = fast_value_and_grad(f, cfg)
-
-        def value(x):
-            seen["value"] += 1
-            moved("raw_value", x)
-            last["x"] = x
-            return value_fn(x)
-
-        def grad(x):
-            seen["grad"] += 1
-            moved("raw_gradient", x)
-            if x is not last["x"]:
-                seen["grad_elsewhere"] += 1
-                moved("raw_value", x)
-            return grad_fn(x)
-        return value, grad
-
-    monkeypatch.setattr(landscape, "fast_value_and_grad", counted_pair)
-    reports = find_critical_points(field, CFG, n_seeds=3, seed=2)
-    # seed 2 runs one start through the polish phase and one into a channel,
-    # which the exit ends at iteration 22; seed 1 on the flat loss runs to
-    # the budget, sitting still in theta while b creeps up
-    reports += find_critical_points(flat, CFG, n_seeds=1, seed=1)
-    assert reports[-1].iterations == 3000
-    for k, n in flat_calls.items():
-        calls[k] += n
-    assert 0 < seen["grad_elsewhere"] < seen["grad"] // 2
-    assert calls["raw_gradient"] == want["raw_gradient"] < seen["grad"] // 2
-    assert calls["raw_value"] == want["raw_value"] + len(reports)
-    assert want["raw_value"] < seen["value"] // 2
 
 
 def _signed_field():
@@ -254,25 +177,79 @@ def _signed_field():
                    raw_gradient=lambda t: (math.copysign(1.0, t[0]),))
 
 
-@pytest.mark.parametrize("first,then,raw_calls", [
-    ([0.75, 0.1, 0.2], [0.75, 0.1, 0.2], 1),  # equal but distinct lists: reused
-    ([0.0, 0.1, 0.2], [-0.0, 0.1, 0.2], 2),  # 0.0 == -0.0, but not the same bits
-    ([-0.0, 0.1, 0.2], [-0.0, 0.1, 0.2], 2),  # a zero coordinate never counts
-    ([math.nan, 0.1, 0.2], [float("nan"), 0.1, 0.2], 2),  # nan != nan
-])
-def test_fast_pair_reuses_only_at_a_bitwise_equal_theta(first, then, raw_calls):
-    field, calls = _counting(_signed_field())
+def test_fast_grad_reuses_the_base_loss_of_the_same_list_only():
+    # value then grad on one list: one raw_value, one raw_gradient.  Any
+    # other list, even an equal one, pays for both again
+    field, calls = _counting(get_field("rastrigin-2d"))
     value_fn, grad_fn = fast_value_and_grad(field, CFG)
-    value_fn(first)
-    grad_fn(first)
-    g = grad_fn(then)
-    assert calls == {"raw_value": raw_calls, "raw_gradient": raw_calls}
-    fresh = fast_value_and_grad(_signed_field(), CFG)
-    assert _bits(g) == _bits(fresh[1](list(then)))
-    # the value closure keeps the same rule: a zero recomputes even against itself
-    v = value_fn(then)
-    assert calls["raw_value"] == raw_calls + (0.0 in then)
-    assert _bits([v]) == _bits([fresh[0](list(then))])
+    x = [0.3, -1.2, 0.05, 1.5]
+    value_fn(x)
+    g = grad_fn(x)
+    assert calls == {"raw_value": 1, "raw_gradient": 1}
+    g_copy = grad_fn(list(x))
+    assert calls == {"raw_value": 2, "raw_gradient": 2}
+    assert _bits(g_copy) == _bits(g)
+    grad_fn([0.3, -1.25, 0.05, 1.5])
+    assert calls == {"raw_value": 3, "raw_gradient": 3}
+    # and a pair that never saw a value call gives the very same gradient
+    fresh = fast_value_and_grad(get_field("rastrigin-2d"), CFG)[1](x)
+    assert _bits(fresh) == _bits(g)
+    # so do reused and fresh calls at a signed zero and at NaN
+    for first, then in (([0.0, 0.1, 0.2], [-0.0, 0.1, 0.2]),
+                        ([-0.0, 0.1, 0.2], [-0.0, 0.1, 0.2]),
+                        ([math.nan, 0.1, 0.2], [float("nan"), 0.1, 0.2])):
+        field, calls = _counting(_signed_field())
+        value_fn, grad_fn = fast_value_and_grad(field, CFG)
+        value_fn(first)
+        g = grad_fn(first)
+        g_then = grad_fn(then)
+        assert calls == {"raw_value": 2, "raw_gradient": 2}
+        fresh_value, fresh_grad = fast_value_and_grad(_signed_field(), CFG)
+        assert _bits(g) == _bits(fresh_grad(list(first)))
+        assert _bits(g_then) == _bits(fresh_grad(list(then)))
+        assert _bits([value_fn(then)]) == _bits([fresh_value(list(then))])
+
+
+def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
+    # every value call pays one raw_value and every grad call one
+    # raw_gradient; a grad call pays a raw_value as well unless it gets the
+    # very list value last saw.  The finder adds one validated field.value
+    # per report
+    # theta never moves on a flat base loss; at L = 5e-5, under loss_tol, the
+    # channel exit leaves the start alone
+    flat = replace(get_field("double-well-1d"), offset=-5e-5,
+                   raw_value=lambda t: 0.0, raw_gradient=lambda t: (0.0,))
+    seen = {}
+
+    def counted_pair(f, cfg):
+        value_fn, grad_fn = fast_value_and_grad(f, cfg)
+
+        def value(x):
+            seen["value"] += 1
+            seen["x"] = x
+            return value_fn(x)
+
+        def grad(x):
+            seen["grad"] += 1
+            seen["grad_elsewhere"] += x is not seen["x"]
+            return grad_fn(x)
+        return value, grad
+
+    monkeypatch.setattr(landscape, "fast_value_and_grad", counted_pair)
+    # seed 2 runs one start through the polish phase and one into a channel,
+    # which the exit ends at iteration 22; seed 1 on the flat loss runs to
+    # the budget, sitting still in theta while b creeps up
+    grads = elsewhere = 0
+    for base, n_seeds, seed in ((get_field("double-well-1d"), 3, 2), (flat, 1, 1)):
+        field, calls = _counting(base)
+        seen.update({"value": 0, "grad": 0, "grad_elsewhere": 0, "x": None})
+        reports = find_critical_points(field, CFG, n_seeds=n_seeds, seed=seed)
+        assert calls["raw_gradient"] == seen["grad"]
+        assert calls["raw_value"] == seen["value"] + seen["grad_elsewhere"] + len(reports)
+        grads += seen["grad"]
+        elsewhere += seen["grad_elsewhere"]
+    assert reports[-1].iterations == 3000
+    assert 0 < elsewhere < grads  # both of grad's branches ran
 
 
 def test_finder_rejects_bad_seed_count():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from minfinity import (AugConfig, AugPoint, OptimizerSpec, Thresholds,
+from minfinity import (AugConfig, AugPoint, DimensionError, OptimizerSpec, Thresholds,
                        Trajectory, classify_trajectory, compare_baseline,
                        get_field, run_optimizer, run_plain)
 from minfinity.augment import fast_kernel
@@ -45,10 +45,9 @@ def test_quadratic_descent_converges_to_certificate():
         if gn <= Thresholds().grad_tol:
             break
         x, a, b = x - 0.1 * dx, a - 0.1 * da, b - 0.1 * db
-    p = traj.points[-1]
-    assert p.theta[0] == pytest.approx(x, abs=1e-9)
-    assert p.a == pytest.approx(a, abs=1e-9)
-    assert p.b == pytest.approx(b, abs=1e-9)
+    assert traj.thetas[-1][0] == pytest.approx(x, abs=1e-9)
+    assert traj.a_values[-1] == pytest.approx(a, abs=1e-9)
+    assert traj.b_values[-1] == pytest.approx(b, abs=1e-9)
 
 
 def test_immediate_convergence_at_global_minimum():
@@ -78,7 +77,7 @@ def test_bad_minimum_run_chases_infinity_but_never_fixes(kind, step):
     assert 0.0 < abs(out.final_a) <= 0.06  # shrank from 0.1, chasing exp(-b)
     assert out.final_base_loss == pytest.approx(bad.value, abs=1e-6)
     assert out.final_grad_norm > 1e-4  # not a fixed point
-    bs = [p.b for p in traj.points]
+    bs = traj.b_values
     assert bs[-1] > bs[0] + 2.0  # b climbed throughout the run
     if kind == "gd":
         # quasi-static regime: the climb is monotone step by step
@@ -138,7 +137,7 @@ def test_classify_minimum_at_infinity():
     rows = [(10 ** -(k + 1), 5.0 + 2.5 * k, 1.0 + 0.02 * (-1) ** k, 1.0, 1.0, 0.5)
             for k in range(9)]
     t = _synthetic(rows)
-    assert t.points[-1].b == 25.0
+    assert t.b_values[-1] == 25.0
     assert classify_trajectory(t).kind == AT_INFINITY
 
 
@@ -179,7 +178,7 @@ def test_determinism_bitwise():
     t1 = run_optimizer(field, start, spec, CFG)
     t2 = run_optimizer(field, start, spec, CFG)
     assert t1.losses == t2.losses
-    assert t1.points == t2.points
+    assert (t1.thetas, t1.a_values, t1.b_values) == (t2.thetas, t2.a_values, t2.b_values)
     assert t1.grad_norms == t2.grad_norms
     assert t1.outcome == t2.outcome
 
@@ -255,8 +254,8 @@ def test_theta_clamped_to_box_with_event_count():
     field = get_field("quadratic-2d")
     traj = run_optimizer(field, AugPoint((9.5, 0.0), 0.0, 0.0), gd(10.0, 50), CFG)
     assert traj.clamp_events >= 1
-    for p in traj.points:
-        assert field.contains(p.theta)
+    for theta in traj.thetas:
+        assert field.contains(theta)
 
 
 def test_recording_stride_and_final_point():
@@ -292,6 +291,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OptimizerSpec(kind="gd", step_size=0.1, max_steps=0)
     assert Thresholds().b_max == 20.0
+
+
+@pytest.mark.parametrize("name,theta", [
+    ("quadratic-1d", (3.0, 7.0)), ("quadratic-2d", (3.0,)), ("quadratic-2d", (1.0, 2.0, 3.0)),
+])
+def test_a_start_of_the_wrong_length_is_rejected(name, theta):
+    # the box clamp zips theta against the bounds: extra coordinates would be
+    # dropped and a missing one would end in an IndexError mid-run
+    field = get_field(name)
+    spec = gd(0.1, 10)
+    with pytest.raises(DimensionError, match="expected"):
+        run_plain(field, theta, spec)
+    with pytest.raises(DimensionError, match="expected"):
+        run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG)
+    with pytest.raises(DimensionError, match="expected"):
+        compare_baseline(field, theta, spec, CFG)
 
 
 @pytest.mark.parametrize("key,bad", [
@@ -457,8 +472,8 @@ def _reference_run(field, start, spec):
             return points, clamps
 
 
-def _hex_rows(points):
-    return [tuple(map(float.hex, (*p.theta, p.a, p.b))) for p in points]
+def _hex_rows(rows):
+    return [tuple(map(float.hex, (*theta, a, b))) for theta, a, b in rows]
 
 
 INT_BOX_QUADRATIC = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
@@ -477,8 +492,9 @@ def test_points_view_is_the_per_step_points(field, theta, spec, min_clamps):
     start = AugPoint(theta, 0.1, 0.0)
     traj = run_optimizer(field, start, spec, CFG)
     want, clamps = _reference_run(field, start, spec)
-    assert _hex_rows(traj.points) == _hex_rows(want)
-    assert all(type(c) is float for p in traj.points for c in (*p.theta, p.a, p.b))
+    rows = list(zip(traj.thetas, traj.a_values, traj.b_values))
+    assert _hex_rows(rows) == _hex_rows((p.theta, p.a, p.b) for p in want)
+    assert all(type(c) is float for theta, a, b in rows for c in (*theta, a, b))
     assert traj.clamp_events == clamps >= min_clamps
 
 
@@ -504,24 +520,15 @@ def test_run_builds_a_constant_number_of_points(monkeypatch):
     start = AugPoint(field.bad_minima[0].point, 0.1, 0.0)
     built = []
     init = AugPoint.__init__
-    from_finite = AugPoint.from_finite.__func__
 
     def counted_init(self, *args, **kwargs):
         built.append("init")
         init(self, *args, **kwargs)
 
-    def counted_from_finite(cls, *args):
-        built.append("from_finite")
-        return from_finite(cls, *args)
-
     monkeypatch.setattr(AugPoint, "__init__", counted_init)
-    monkeypatch.setattr(AugPoint, "from_finite", classmethod(counted_from_finite))
     traj = run_optimizer(field, start, gd(1e-3, 10_500), CFG)
     assert len(traj.steps) == 10_051
     assert built == ["init"]  # the validated start, and nothing per step
-    # the view builds its points on demand, one per recorded row
-    assert len(traj.points) == 10_051
-    assert built.count("from_finite") == 10_051
 
 
 def test_write_csv_passes_one_row_per_write():

@@ -153,6 +153,11 @@ def test_finder_closure_shapes_stay_traceable():
         args = closures[n].args
         assert len(args.posonlyargs + args.args) == 1 and not args.defaults
         assert not (args.vararg or args.kwonlyargs or args.kwarg)
+    # the pair's one piece of state is value's last list with its L and u: a
+    # cache keyed on theta comes back only with measurements that it pays
+    declared = {name for node in ast.walk(fast) if isinstance(node, ast.Nonlocal)
+                for name in node.names}
+    assert declared == {"seen", "seen_L", "seen_u"}
 
 
 _MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
