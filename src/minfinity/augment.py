@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .differentiation import exp_
 from .fields import FLOOR_SLACK, ScalarField
+from .minimize import _sum_sq
 
 POLICY_ERROR = "error"
 POLICY_SATURATE = "flag-and-saturate"
@@ -145,8 +146,7 @@ class AugGradient(NamedTuple):
     saturated: bool
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(c * c for c in self.d_theta)
-                         + self.d_a * self.d_a + self.d_b * self.d_b)
+        return math.sqrt(_sum_sq(self.d_theta) + self.d_a * self.d_a + self.d_b * self.d_b)
 
 
 def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):

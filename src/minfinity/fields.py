@@ -1,11 +1,13 @@
 """Base loss landscapes: nonnegative scalar fields over a box domain.
 
-Every shipped field is normalized so its global minimum value is 0, except the
-deliberate convention breaker ``quadratic-plus-one-1d`` whose minimum is 1.
+Every shipped field reads exactly 0.0 at its registered global minimum, except
+the deliberate convention breaker ``quadratic-plus-one-1d`` whose minimum is 1.
 Fields with strictly positive local minima register them in ``bad_minima`` so
 tests and sweeps can start exactly there.  All seven are plain literals built
-at import: ``double-well-1d`` carries the offset and minimizer that
-:func:`normalize` located, recorded as constants, so no field runs a descent.
+at import, so no field runs a descent: ``double-well-1d`` carries a
+closed-form minimizer and the offset that is its raw value there, and
+``ackley-2d`` the offset that takes out the rounding of its raw value at the
+origin.
 """
 from __future__ import annotations
 
@@ -168,17 +170,19 @@ RASTRIGIN_BAD_VALUE = 0.9949590570932916
 RASTRIGIN_BAD_X2 = 1.9899122337085493
 RASTRIGIN_BAD_VALUE2 = 3.979831190554087
 
-# what normalize() of the raw x^4 - 2x^2 + 0.3x (offset 0) returns, bit for
-# bit; tests/test_fields.py re-derives both
-DOUBLE_WELL_OFFSET = -1.3054284837439163
-DOUBLE_WELL_GLOBAL_X = -1.0355787167512152
+# exact zeros: x* is the trigonometric root of L' = 4x^3 - 4x + 0.3 plus one
+# Newton step (L'(x*) = 1.7e-16), the offset is raw(x*), so L(x*) == 0.0, and
+# each bad value is ScalarField.value at its point
+DOUBLE_WELL_OFFSET = -1.305428483743916
+DOUBLE_WELL_GLOBAL_X = -1.0355787140888537
 DOUBLE_WELL_BAD_X = 0.9601495555191055
-DOUBLE_WELL_BAD_VALUE = 0.5995749647721786
+DOUBLE_WELL_BAD_VALUE = 0.5995749647721789
 
+ACKLEY_OFFSET = 4.440892098500626e-16  # raw value at (0, 0): -20 - 1 + 20 + e rounds up
 ACKLEY_BAD_1 = (0.9521665459501732, 0.0)
-ACKLEY_BAD_VALUE_1 = 2.579927557029873
+ACKLEY_BAD_VALUE_1 = 2.5799275570298725
 ACKLEY_BAD_2 = (0.9684776587077252, 0.9684776587077252)
-ACKLEY_BAD_VALUE_2 = 3.57445187725768
+ACKLEY_BAD_VALUE_2 = 3.5744518772576797
 
 
 def _quadratic(coords):
@@ -274,7 +278,7 @@ _FIELDS: dict[str, ScalarField] = {f.name: f for f in (
                             BadMinimum((RASTRIGIN_BAD_X, RASTRIGIN_BAD_X),
                                        RASTRIGIN_BAD_VALUE + RASTRIGIN_BAD_VALUE))),
     ScalarField("ackley-2d", 2, (-5.0, -5.0), (5.0, 5.0), _ackley, _ackley_grad,
-                global_min=(0.0, 0.0),
+                offset=ACKLEY_OFFSET, global_min=(0.0, 0.0),
                 bad_minima=(BadMinimum(ACKLEY_BAD_1, ACKLEY_BAD_VALUE_1),
                             BadMinimum((ACKLEY_BAD_1[1], ACKLEY_BAD_1[0]), ACKLEY_BAD_VALUE_1),
                             BadMinimum(ACKLEY_BAD_2, ACKLEY_BAD_VALUE_2))),

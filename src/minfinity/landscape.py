@@ -64,9 +64,13 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             return True
         if g is None:  # the polish phase: the |b| escape alone
             return False
+        # in_channel's first test, with its limit, before u and L are computed
+        theta_norm = math.hypot(*g[:dim])
+        if not theta_norm <= thr.grad_tol:
+            return False
         u = _terms(0.0, a, b, lam, clamp)[2]
         dev = u - 1.0
-        return thr.in_channel(math.hypot(*g[:dim]), (v - lam * a * a) / (1.0 + dev * dev), u)
+        return thr.in_channel(theta_norm, (v - lam * a * a) / (1.0 + dev * dev), u)
 
     reports = []
     for index in range(n_seeds):

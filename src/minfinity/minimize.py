@@ -31,6 +31,15 @@ class DescentResult:
     escaped: bool = False
 
 
+def _sum_sq(g) -> float:
+    """``fsum`` of the squares of ``g``, inf where that sum overflows: every
+    term is >= 0, and fsum raises OverflowError there instead of returning inf."""
+    try:
+        return fsum(map(mul, g, g))
+    except OverflowError:
+        return inf
+
+
 def _clip(x: list[float], box) -> bool:
     """Project the boxed leading coordinates of ``x`` in place; returns whether
     any coordinate moved.
@@ -93,7 +102,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
 
     for _ in range(max_iters):
         g = grad_fn(x)
-        gn2 = fsum(map(mul, g, g))
+        gn2 = _sum_sq(g)
         gn = sqrt(gn2)
         if not (isfinite(gn) and isfinite(v)):
             return DescentResult(x, v, gn, iterations, False)
@@ -122,7 +131,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
 
     if not stalled:
         g = grad_fn(x)
-        gn = sqrt(fsum(map(mul, g, g)))
+        gn = sqrt(_sum_sq(g))
         return DescentResult(x, v, gn, iterations, gn <= grad_tol)
 
     # phase 2: the value has reached its representable floor; walk the analytic
@@ -133,7 +142,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
     setbacks = 0
     for _ in range(polish_iters):
         g = grad_fn(x)
-        gn = sqrt(fsum(map(mul, g, g)))
+        gn = sqrt(_sum_sq(g))
         if not isfinite(gn):
             break
         if gn < best_gn:

@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from math import fsum, inf, isfinite, sqrt  # bare names: _run's loop is the hot path
-from operator import mul
+from math import inf, isfinite, sqrt  # bare names: _run's loop is the hot path
 from typing import IO, Callable, Sequence
 
 from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
 from .fields import DimensionError, ScalarField
-from .minimize import _clip
+from .minimize import _clip, _sum_sq
 
 CONVERGED = "converged-finite"
 AT_INFINITY = "minimum-at-infinity"
@@ -244,7 +243,7 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
         loss, base, u, g = kernel(x)
         finite = isfinite(loss) and all(map(isfinite, g))
         if finite:
-            gn = sqrt(fsum(map(mul, g, g)))
+            gn = sqrt(_sum_sq(g))
         else:
             gn = inf
             traj.saturation_events += 1

@@ -65,7 +65,10 @@ def _segments(grid: ContourGrid, level: float) -> list[tuple[float, float, float
             if not all(map(isfinite, corners)):
                 continue
             if case == 5 or case == 10:
-                center = 0.25 * fsum(corners)
+                try:
+                    center = 0.25 * fsum(corners)
+                except OverflowError:  # the sum is past the largest float, its quarter is not
+                    center = fsum([0.25 * c for c in corners])
                 pairs = _SADDLE_JOINED if (case == 5) == (center > level) else _SADDLE_SPLIT
             else:
                 pairs = _CASE_EDGES[case]

@@ -287,10 +287,11 @@ def _oracle_points(field, rng):
 
 # sha256 over the float.hex outputs of eval_u, evaluate, gradient, slice_value,
 # the fast closures and probe_infimum at the oracle points, recorded while each
-# route still wrote the augmented formula out by hand
+# route still wrote the augmented formula out by hand, and re-recorded when
+# double-well and ackley got exact zeros (the other fields' bytes held)
 ORACLE_SHA = {
-    AugConfig(): "7a64c5b86342d528f080d3a905228bb7b55fbb88d9a9d1aad9f4c956b1eca28b",
-    AugConfig(lam=0.3, b_clamp=30.0): "6989a79be058b03f0b9329ae87b41f16dc11891a78f2dd5ba4fa4c6b47e4d118",
+    AugConfig(): "202f445b88d2f2abfc69ebed943d5049bdb788697ac1fc8abd5067d6a018097b",
+    AugConfig(lam=0.3, b_clamp=30.0): "a094dacea2821510179043c5eb28f89a019d48ebbd6928f2c39e1a2b246fb8b9",
 }
 
 

@@ -146,6 +146,16 @@ def test_optimize_quadratic_converges(tmp_path):
     assert json.loads(r.stdout)["outcome"]["kind"] == "converged-finite"
 
 
+@pytest.mark.parametrize("b", ["176.85", "177.5"])
+def test_optimize_gradient_norm_overflow_is_a_numerical_failure(tmp_path, b):
+    # at b = 176.85 every square of the gradient is finite but their sum is
+    # not (fsum raises on that); at 177.5 one square is inf already
+    r = run_cli("optimize", "--field", "quadratic-1d", "--theta", "1", "--a", "1",
+                "--b", b, "--max-steps", "10", "--out", str(tmp_path / "run"))
+    assert r.returncode == 3, r.stderr
+    assert json.loads(r.stdout)["outcome"]["kind"] == "numerical-failure"
+
+
 def test_optimize_config_file_with_flag_override(tmp_path):
     config = {
         "field": "quadratic-1d",

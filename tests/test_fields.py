@@ -2,7 +2,6 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -65,15 +64,25 @@ def test_normalize_quadratic_offset_is_zero():
     assert abs(renorm.offset) <= 1e-9
 
 
-def test_double_well_constants_are_what_normalize_returns():
-    # the shipped field is a literal; normalize is the reference that located
-    # its offset and minimizer, so re-deriving them must agree bit for bit
+def test_zero_minimum_fields_read_an_exact_zero():
+    # double-well's minimizer is the float with the smallest |L'| among its
+    # +-3-ulp neighbours, and its offset is the raw value there, so L is an
+    # exact 0.0 at every registered global minimum, where the gradient is flat
     field = get_field("double-well-1d")
-    located = normalize(replace(field, offset=0.0, global_min=None))
-    assert located.offset.hex() == field.offset.hex() == DOUBLE_WELL_OFFSET.hex()
-    assert [x.hex() for x in located.global_min] == [x.hex() for x in field.global_min] \
-        == [DOUBLE_WELL_GLOBAL_X.hex()]
-    assert field.value(field.global_min) == 0.0
+    x = DOUBLE_WELL_GLOBAL_X
+    neighbours = []
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(3):
+            y = math.nextafter(y, direction)
+            neighbours.append(y)
+    slope = abs(field.raw_gradient([x])[0])
+    assert all(slope < abs(field.raw_gradient([y])[0]) for y in neighbours)
+    assert field.offset.hex() == DOUBLE_WELL_OFFSET.hex() == field.raw_value([x]).hex()
+    for name in zero_min_field_names():
+        field = get_field(name)
+        assert field.value(field.global_min) == 0.0
+        assert all(abs(c) <= 1e-14 for c in field.gradient(field.global_min))
 
 
 def test_normalize_reports_failure():
@@ -101,7 +110,7 @@ def test_values_nonnegative_on_samples(name):
 def test_registered_global_minimum_reads_zero(name):
     field = get_field(name)
     assert field.global_min is not None
-    assert field.value(field.global_min) <= 1e-9
+    assert field.value(field.global_min) == 0.0
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
@@ -127,7 +136,7 @@ def test_bad_minima_are_certified(name):
         g = field.gradient(bad.point)
         assert math.sqrt(sum(c * c for c in g)) <= 1e-6
         assert bad.value >= 10 * 1e-4
-        assert field.value(bad.point) == pytest.approx(bad.value, rel=1e-9)
+        assert field.value(bad.point) == bad.value
 
 
 def _raw_points(field):
@@ -140,7 +149,8 @@ def _raw_points(field):
 
 def test_raw_formulas_are_bitwise_stable():
     # sha256 of float.hex of raw_value and raw_gradient on floats, recorded
-    # before the formulas chose their primitives once per call
+    # before the formulas chose their primitives once per call, and
+    # re-recorded when double-well's global minimum moved to its exact zero
     lines = []
     for name in ALL_FIELDS:
         f = get_field(name)
@@ -148,7 +158,7 @@ def test_raw_formulas_are_bitwise_stable():
             lines.append(" ".join([name, float.hex(f.raw_value(list(p))),
                                    *map(float.hex, f.raw_gradient(list(p)))]))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "b84d542dd6b0498b2825188557cc2a4cdd67fc6cd65d87265ff3706520610856"
+        "3f4c385f5349f4afa2ade6d49f2caa4d4b9e73d305a9096cdbe6ac79ec3c2a40"
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)

@@ -100,8 +100,7 @@ def test_channel_exit_limits_come_from_thresholds():
 
 def test_no_field_is_built_by_a_descent():
     # every field is a literal: in fields.py descend runs only inside
-    # normalize, the reference that located the recorded double-well
-    # constants, and nothing in the package calls normalize
+    # normalize, and nothing in the package calls normalize
     tree = ast.parse((SRC / "fields.py").read_text())
     normalize = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "normalize")
