@@ -286,9 +286,13 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
     """Unvalidated closure ``x -> (V, L, u, grad V)`` over the flat state
     [theta..., a, b] for hot loops.
 
-    One ``raw_value``, one ``raw_gradient`` and one :func:`_terms` call per
-    evaluation.  Same arithmetic as :func:`evaluate` / :func:`gradient` under
-    the flag-and-saturate policy; callers keep theta inside the field's box.
+    One :func:`_terms` call per evaluation.  ``raw_value`` and
+    ``raw_gradient`` run only when theta differs from the last call's or
+    holds a zero: in a bad minimum's channel theta sits still while (a, b)
+    move.  Equal nonzero floats have equal bits (the zero test catches -0.0
+    too), so results are bitwise those of a fresh kernel.  Same arithmetic
+    as :func:`evaluate` / :func:`gradient` under the flag-and-saturate
+    policy; callers keep theta inside the field's box.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -296,11 +300,18 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
     offset = field.offset
     lam = cfg.lam
     clamp = cfg.b_clamp
+    seen = None  # the theta of the last call, with its L - offset and grad L
+    seen_L = 0.0
+    seen_grad = ()
 
     def kernel(x):
+        nonlocal seen, seen_L, seen_grad
         theta = x[:dim]
-        value, base, u, _, grad, _ = _terms(raw_value(theta) - offset, x[dim], x[dim + 1],
-                                            lam, clamp, raw_grad(theta))
+        if theta != seen or 0.0 in theta:
+            seen_L = raw_value(theta) - offset
+            seen_grad = raw_grad(theta)
+            seen = theta
+        value, base, u, _, grad, _ = _terms(seen_L, x[dim], x[dim + 1], lam, clamp, seen_grad)
         return value, base, u, grad
 
     return kernel

@@ -8,7 +8,6 @@ failure, 4 output I/O error.  MINFINITY_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -44,13 +43,19 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(out_dir: str, name: str, text: str) -> None:
+def _write_file(out_dir: str, name: str, write) -> None:
+    """Create ``out_dir`` and call ``write`` on the open text file ``name`` in it;
+    any OSError, including one raised while ``write`` streams, is an _IOFailure."""
     try:
         os.makedirs(out_dir or ".", exist_ok=True)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
+
+
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    _write_file(out_dir, name, lambda fh: fh.write(text))
 
 
 class _IOFailure(Exception):
@@ -255,9 +260,7 @@ def _run_setup(args) -> tuple:
 
 def _write_trajectory(config: dict, name: str, traj: optimize.Trajectory) -> None:
     if "csv" in config["formats"]:
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        _write_text(config["out_dir"], name, buf.getvalue())
+        _write_file(config["out_dir"], name, traj.write_csv)
 
 
 def _cmd_optimize(args) -> int:

@@ -103,16 +103,29 @@ class Trajectory:
         self.grad_norms.append(grad_norm)
 
     def write_csv(self, out: IO[str]) -> None:
-        """One header line, then one ``out.write`` per recorded row."""
+        """One header line, then one ``out.write`` per recorded row.
+
+        The theta and ``L`` text of a row is the previous row's when the value
+        compares equal and is nonzero (theta: in every coordinate): equal
+        nonzero floats have equal bits, so their ``repr`` is the same.
+        """
         dim = len(self.thetas[0]) if self.thetas else 0
         headers = ["step"] + [f"theta{i}" for i in range(dim)] + \
             ["a", "b", "u", "L", "L_tilde", "grad_norm"]
         write = out.write
         write(",".join(headers) + "\n")
+        last_theta = last_base = None
+        theta_text = base_text = ""
         for k, theta, a, b, u, base, v, gn in zip(
                 self.steps, self.thetas, self.a_values, self.b_values, self.us,
                 self.base_losses, self.losses, self.grad_norms):
-            write(f"{k},{','.join(map(repr, theta))},{a!r},{b!r},{u!r},{base!r},{v!r},{gn!r}\n")
+            if theta != last_theta or 0.0 in theta:
+                theta_text = ",".join(map(repr, theta))
+                last_theta = theta
+            if base != last_base or base == 0.0:
+                base_text = repr(base)
+                last_base = base
+            write(f"{k},{theta_text},{a!r},{b!r},{u!r},{base_text},{v!r},{gn!r}\n")
 
     def summary(self) -> dict:
         return {
@@ -241,9 +254,12 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
     step = 0
     while True:
         loss, base, u, g = kernel(x)
-        finite = isfinite(loss) and all(map(isfinite, g))
+        # a finite sum of squares has finite terms; an inf one may still come
+        # from finite components whose squares overflow, so it gets the full test
+        gn2 = _sum_sq(g)
+        finite = isfinite(loss) and (isfinite(gn2) or all(map(isfinite, g)))
         if finite:
-            gn = sqrt(_sum_sq(g))
+            gn = sqrt(gn2)
         else:
             gn = inf
             traj.saturation_events += 1

@@ -13,6 +13,8 @@ from minfinity import (AugConfig, AugPoint, SaturationError, Thresholds, eval_u,
                        evaluate, field_names, get_field, gradient, probe_infimum)
 from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, fast_kernel,
                                fast_value_and_grad, slice_value)
+from test_landscape import _signed_field
+from test_optimize import _counting
 
 CFG = AugConfig()
 ERR_CFG = AugConfig(saturation_policy=POLICY_ERROR)
@@ -325,3 +327,34 @@ def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
                 digest.update(_bits([probe_infimum(f, theta, cfg)])[0].encode())
     assert floored > 0
     assert digest.hexdigest() == ORACLE_SHA[cfg]
+
+
+def test_fast_kernel_reuses_the_base_loss_of_an_unchanged_theta_only():
+    # raw_value and raw_gradient run again only when theta differs from the
+    # last call's or holds a zero; every result is bitwise a fresh kernel's
+    def fresh(f, x):
+        v, base, u, g = fast_kernel(f, CFG)(list(x))
+        return _bits([v, base, u, *g])
+
+    cases = [
+        # field, calls in order, raw evaluations expected after each call
+        (get_field("rastrigin-2d"),
+         # one list twice, then an equal but distinct list with new (a, b)
+         [[0.3, -1.2, 0.05, 1.5], None, [0.3, -1.2, 0.7, -2.0],
+          # a move away and back
+          [0.3, -1.25, 0.7, -2.0], [0.3, -1.2, 0.7, -2.0]],
+         [1, 1, 1, 2, 3]),
+        # 0.0 then -0.0, and a zero repeated: each pays again
+        (_signed_field(), [[0.0, 0.1, 0.2], [-0.0, 0.1, 0.2], [-0.0, 0.1, 0.2], [0.5, 0.1, 0.2],
+                           [0.5, 0.1, 0.2]],
+         [1, 2, 3, 4, 4]),
+    ]
+    for field, xs, want in cases:
+        counted, calls = _counting(field)
+        kernel = fast_kernel(counted, CFG)
+        x = None
+        for step, (nxt, n) in enumerate(zip(xs, want)):
+            x = x if nxt is None else nxt
+            v, base, u, g = kernel(x)
+            assert _bits([v, base, u, *g]) == fresh(field, x), (field.name, step)
+            assert calls == {"raw_value": n, "raw_gradient": n}, (field.name, step)

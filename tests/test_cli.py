@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from cli_env import cli_env
 
+from minfinity import cli, optimize
+
 GOLDEN = Path(__file__).parent / "golden" / "summary.json"
 
 
@@ -121,6 +123,39 @@ def test_contour_rejects_a_zero_width_range(tmp_path, axis):
 def test_contour_unwritable_output():
     r = run_cli("contour", "--out", "/proc/definitely/not/writable")
     assert r.returncode == 4
+
+
+@pytest.mark.parametrize("blocked", ["out_dir", "csv"])
+def test_optimize_unwritable_output(tmp_path, blocked):
+    # --out names a regular file, or trajectory.csv is a directory: either
+    # way the run's output cannot be written, and the CLI exits 4
+    out = tmp_path / "run"
+    if blocked == "out_dir":
+        out.write_text("")
+    else:
+        (out / "trajectory.csv").mkdir(parents=True)
+    r = run_cli("optimize", "--field", "quadratic-1d", "--theta", "1",
+                "--max-steps", "10", "--out", str(out))
+    assert r.returncode == 4
+    assert "output error" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_optimize_streams_the_trajectory_into_its_file(tmp_path, monkeypatch, capsys):
+    # write_csv gets the open file, not a buffer holding the whole text
+    targets = []
+    write_csv = optimize.Trajectory.write_csv
+
+    def spy(self, out):
+        targets.append(out)
+        write_csv(self, out)
+
+    monkeypatch.setattr(optimize.Trajectory, "write_csv", spy)
+    out = tmp_path / "run"
+    assert cli.main(["optimize", "--field", "quadratic-1d", "--theta", "1",
+                     "--max-steps", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [t.name for t in targets] == [str(out / "trajectory.csv")]
+    assert (out / "trajectory.csv").read_text().count("\n") == 12
 
 
 def test_optimize_from_bad_minimum(tmp_path):

@@ -14,7 +14,7 @@ from minfinity.augment import fast_kernel
 from minfinity.fields import RASTRIGIN_BAD_X
 from minfinity.minimize import _clip
 from minfinity.optimize import (AT_INFINITY, CONVERGED, DENSE_RECORD_LIMIT, EXHAUSTED,
-                                FAILED, _updater)
+                                FAILED, _run, _updater)
 
 CFG = AugConfig()
 
@@ -414,15 +414,41 @@ def _assert_once_per_step(traj, calls):
         assert evaluated <= n <= evaluated + 1
 
 
+def _kernel_thetas(monkeypatch):
+    """Wrap the kernel run_optimizer builds; returns the list that collects
+    the theta of every kernel call, as float.hex strings."""
+    thetas = []
+
+    def recording(field, cfg):
+        kernel = fast_kernel(field, cfg)
+
+        def wrapper(x):
+            thetas.append(tuple(map(float.hex, x[:field.dim])))
+            return kernel(x)
+        return wrapper
+
+    monkeypatch.setattr("minfinity.optimize.fast_kernel", recording)
+    return thetas
+
+
 @pytest.mark.parametrize("name,start,spec", [
+    # theta sits still at the bad minimum while (a, b) move
     ("rastrigin-1d", None, gd(1e-3, 10_503)),
     ("quadratic-1d", (1.0,), gd(0.1, 100_000)),
     ("quadratic-2d", (1.0, 1.0), gd(1e308, 100)),
 ])
-def test_run_optimizer_evaluates_the_field_once_per_step(name, start, spec):
+def test_run_optimizer_evaluates_the_field_once_per_step(name, start, spec, monkeypatch):
+    # one kernel call per step, and the final record may add one.  The field
+    # is evaluated at exactly the calls whose theta differs in bits from the
+    # previous call's or holds a zero
     field, calls = _counting(get_field(name))
+    thetas = _kernel_thetas(monkeypatch)
     theta = start or field.bad_minima[0].point
-    _assert_once_per_step(run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG), calls)
+    traj = run_optimizer(field, AugPoint(theta, 0.1, 0.0), spec, CFG)
+    assert traj.total_steps + 1 <= len(thetas) <= traj.total_steps + 2
+    fresh = sum(i == 0 or t != thetas[i - 1] or any(float.fromhex(c) == 0.0 for c in t)
+                for i, t in enumerate(thetas))
+    assert calls == {"raw_value": fresh, "raw_gradient": fresh}
 
 
 @pytest.mark.parametrize("name,theta,spec", [
@@ -547,3 +573,71 @@ def test_write_csv_passes_one_row_per_write():
     traj.write_csv(out)
     assert len(out.writes) == len(traj.steps) + 1
     assert all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)
+
+
+# --- the reuse rules of the loop and of the CSV writer ------------------------
+
+def _reference_csv(traj):
+    """write_csv as one f-string per row, each float printed afresh."""
+    dim = len(traj.thetas[0])
+    text = ",".join(["step"] + [f"theta{i}" for i in range(dim)]
+                    + ["a", "b", "u", "L", "L_tilde", "grad_norm"]) + "\n"
+    for k, theta, a, b, u, base, v, gn in zip(
+            traj.steps, traj.thetas, traj.a_values, traj.b_values, traj.us,
+            traj.base_losses, traj.losses, traj.grad_norms):
+        text += f"{k},{','.join(map(repr, theta))},{a!r},{b!r},{u!r},{base!r},{v!r},{gn!r}\n"
+    return text
+
+
+@pytest.mark.parametrize("rows", [
+    # a theta coordinate 0.0 -> -0.0 -> 0.0, and L at 0.0 then -0.0
+    [((0.0,), 0.0, 0.01, 0.2), ((-0.0,), 0.0, 0.01, 0.2), ((0.0,), -0.0, 0.01, 0.2),
+     ((0.0,), 0.0, 0.01, 0.2), ((0.0,), -0.0, 0.02, 0.1)],
+    # repeated nonzero theta and L, an equal theta in a distinct tuple, then
+    # a saturated row with an inf loss and norm
+    [((0.25,), 1.5, 2.0, 0.5), ((0.25,), 1.5, 2.5, 0.5), (tuple([0.5 / 2]), 1.5, 3.0, 0.4),
+     ((0.3,), 1.5, 3.0, 0.4), ((0.3,), 1.5, math.inf, math.inf),
+     ((0.3,), math.inf, math.inf, math.inf), ((0.3,), math.nan, math.inf, math.inf),
+     ((0.3,), math.nan, 1.0, 1.0)],
+    # a 2-d theta with one coordinate repeated, then with one at a signed zero
+    [((1.0, -2.0), 0.5, 0.6, 1e-3), ((1.0, -2.5), 0.5, 0.6, 1e-3),
+     ((1.5, -2.5), 0.5, 0.6, 1e-3), ((1.5, -2.5), 0.75, 0.8, 1e-3),
+     ((-0.0, -2.5), 0.75, 0.8, 1e-3), ((0.0, -2.5), 0.75, 0.8, 1e-3),
+     ((0.0, -2.5), 0.75, 0.8, 1e-3), ((1.5, -2.5), 0.75, 0.8, 1e-3)],
+])
+def test_write_csv_matches_the_per_row_reference(rows):
+    traj = Trajectory(field_name="synthetic")
+    for step, (theta, base, loss, gn) in enumerate(rows):
+        traj.record(step, theta, 0.1, 0.25 * step, loss, base, 1.0, gn)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == _reference_csv(traj)
+
+
+def _stub_run(loss, g):
+    """Three gd steps on quadratic-1d from (0.5, 0.1, 0.0) with a kernel that
+    always returns ``loss`` and the gradient ``g``."""
+    def kernel(x):
+        return loss, 0.5, 0.0, list(g)
+
+    return _run(get_field("quadratic-1d"), kernel, (0.5,), 0.1, 0.0, gd(1e-3, 3),
+                Thresholds(), augmented=True)
+
+
+@pytest.mark.parametrize("loss,g,events,norms", [
+    # every component finite: the norm is the square root of the sum
+    (1.0, [3.0, 4.0, 0.0], 0, [5.0] * 4),
+    # finite components whose squares overflow: an inf norm, no saturation
+    (1.0, [1e200, 0.0, -1e200], 0, [math.inf] * 4),
+    (1.0, [1e155, 0.0, 0.0], 0, [math.inf] * 4),
+    # a non-finite component or loss: one saturation event, and the run stops
+    (1.0, [math.nan, 0.0, 0.0], 1, [math.inf]),
+    (1.0, [3.0, math.inf, 0.0], 1, [math.inf]),
+    (1.0, [3.0, -math.inf, math.nan], 1, [math.inf]),
+    (math.inf, [3.0, 4.0, 0.0], 1, [math.inf]),
+    (math.nan, [3.0, 4.0, 0.0], 1, [math.inf]),
+])
+def test_run_finiteness_outcomes(loss, g, events, norms):
+    traj = _stub_run(loss, g)
+    assert traj.saturation_events == events
+    assert list(map(float.hex, traj.grad_norms)) == list(map(float.hex, norms))

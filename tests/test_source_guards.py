@@ -1,8 +1,9 @@
 """Source guards: the log-space product, the floor slack, the default of each
 threshold and the JSON document format are each written once, the channel
 exit takes its limits from Thresholds alone, no field is built by a descent,
-the finder's closures keep the shapes the benchmark's tracer wraps, and
-trajectory rows have one append path and no per-step point."""
+the finder's closures keep the shapes the benchmark's tracer wraps, the
+optimizer kernel remembers only its last theta, and trajectory rows have one
+append path and no per-step point."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -157,6 +158,15 @@ def test_finder_closure_shapes_stay_traceable():
     declared = {name for node in ast.walk(fast) if isinstance(node, ast.Nonlocal)
                 for name in node.names}
     assert declared == {"seen", "seen_L", "seen_u"}
+
+
+def test_fast_kernel_state_is_the_last_theta_alone():
+    # the optimizer kernel remembers one theta with its L - offset and grad L,
+    # nothing keyed on (a, b) and no table of past points
+    fast = _function("augment.py", "fast_kernel")
+    declared = [name for node in ast.walk(fast) if isinstance(node, ast.Nonlocal)
+                for name in node.names]
+    assert sorted(declared) == ["seen", "seen_L", "seen_grad"]
 
 
 _MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
