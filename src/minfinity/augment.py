@@ -16,11 +16,11 @@ and finite differences in the test suite:
 All of this, with the floor of L at FLOOR_SLACK, is written once, in the
 scalar core :func:`_terms` and its derivative half :func:`_slopes`.
 ``eval_u``, ``evaluate``, ``gradient``, ``slice_value`` and the fast closures
-call it, and their saturation-policy checks wrap it.  ``lifted_loss`` stays a
-separate route on purpose: it is the dual-number oracle the core is checked
-against.  The certificate of a finite critical point, the signature of a
-run heading to b -> inf and the test for a bad minimum's channel are written
-once too, as the methods of :class:`Thresholds`.
+call it; the first four apply the saturation policy in :func:`_saturate`.
+``lifted_loss`` stays a separate route on purpose: it is the dual-number
+oracle the core is checked against.  The certificate of a finite critical
+point, the signature of a run heading to b -> inf and the test for a bad
+minimum's channel are written once too, as the methods of :class:`Thresholds`.
 """
 from __future__ import annotations
 
@@ -157,7 +157,7 @@ def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
     applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
     gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead, with
     ``grad, b_sat`` from :func:`_slopes`.  Value-only calls skip exp(b) and
-    the derivatives.  Raises nothing: the policy checks wrap it.
+    the derivatives.  Raises nothing: the routes apply the policy.
     """
     if L < 0.0 and L >= -FLOOR_SLACK:
         L = 0.0
@@ -203,16 +203,19 @@ def _slopes(L: float, a: float, b: float, u: float, lam: float, clamp: float, gr
     return grad, b_sat
 
 
-def _saturation(overflow: str, a: float, b: float, u_sat: bool,
-                b_sat: bool = False) -> SaturationError:
-    """The error for the first guard that tripped; built only to raise."""
+def _saturate(cfg: AugConfig, route: str, a: float, b: float, u_sat: bool,
+              b_sat: bool = False) -> bool:
+    """The policy once a guard of ``route`` has tripped: the flag (True), or under
+    ``error`` a SaturationError naming the first guard that tripped."""
+    if cfg.saturation_policy == POLICY_SATURATE:
+        return True
     if u_sat:
         why = "exponent log|a| + b beyond clamp"
     elif b_sat:
         why = "exp(b) beyond clamp in d/da"
     else:
-        why = f"{overflow} overflow"
-    return SaturationError(f"{why} at a={a!r} b={b!r}")
+        why = f"{route} overflow"
+    raise SaturationError(f"{why} at a={a!r} b={b!r}")
 
 
 def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
@@ -223,8 +226,8 @@ def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     pinned at the clamp.
     """
     _, _, u, u_sat = _terms(0.0, a, b, cfg.lam, cfg.b_clamp)
-    if u_sat and cfg.saturation_policy == POLICY_ERROR:
-        raise _saturation("u", a, b, u_sat)
+    if u_sat:
+        _saturate(cfg, "u", a, b, u_sat)
     return u, u_sat
 
 
@@ -234,9 +237,7 @@ def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig,
     base = field.value(point.theta, check_domain=check_domain)
     value, base, u, saturated = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp)
     if saturated or not math.isfinite(value):
-        if cfg.saturation_policy == POLICY_ERROR:
-            raise _saturation("augmented value", point.a, point.b, saturated)
-        saturated = True
+        saturated = _saturate(cfg, "augmented value", point.a, point.b, saturated)
     return AugEval(value, base, u, saturated)
 
 
@@ -248,8 +249,8 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
     _, _, _, u_sat, grad, b_sat = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp,
                                          grad_base)
     saturated = u_sat or b_sat or not all(map(math.isfinite, grad))
-    if saturated and cfg.saturation_policy == POLICY_ERROR:
-        raise _saturation("gradient", point.a, point.b, u_sat, b_sat)
+    if saturated:
+        _saturate(cfg, "gradient", point.a, point.b, u_sat, b_sat)
     d_b = grad.pop()
     d_a = grad.pop()
     d_theta = tuple(grad)
@@ -260,9 +261,7 @@ def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[flo
     """Augmented value with the base loss frozen at the constant ``l_slice``."""
     value, _, _, saturated = _terms(l_slice, a, b, cfg.lam, cfg.b_clamp)
     if saturated or not math.isfinite(value):
-        if cfg.saturation_policy == POLICY_ERROR:
-            raise _saturation("slice value", a, b, saturated)
-        saturated = True
+        saturated = _saturate(cfg, "slice value", a, b, saturated)
     return value, saturated
 
 

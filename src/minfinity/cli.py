@@ -96,8 +96,6 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_contour(args) -> int:
-    if args.resolution < 2:
-        raise UsageError("resolution must be at least 2 per axis")
     if args.levels and not all(map(math.isfinite, args.levels)):
         raise UsageError(f"--levels must be finite, got {args.levels}")
     grid = landscape.sample_contour(
@@ -113,12 +111,13 @@ def _cmd_contour(args) -> int:
         "a_range": list(args.a_range), "b_range": list(args.b_range),
         "resolution": args.resolution, "svg": bool(args.svg),
     }
-    _write_text(args.out, "contour.csv",
-                "".join(",".join(map(repr, row)) + "\n" for row in grid.values))
-    _write_text(args.out, "contour.json", _json(doc))
+    files = {"contour.csv": "".join(",".join(map(repr, row)) + "\n" for row in grid.values),
+             "contour.json": _json(doc)}
     if args.svg:
-        _write_text(args.out, "contour.svg", svgplot.render_svg(grid, args.levels or None))
-    sys.stdout.write(_json({"written": sorted(os.listdir(args.out)), "out": args.out,
+        files["contour.svg"] = svgplot.render_svg(grid, args.levels or None)
+    for name, text in files.items():
+        _write_text(args.out, name, text)
+    sys.stdout.write(_json({"written": list(files), "out": args.out,
                             "interior_minima_count": len(minima),
                             "grid_min": doc["grid_min"]}))
     return EXIT_OK
@@ -128,12 +127,16 @@ def _cmd_contour(args) -> int:
 # optimize / compare
 # ---------------------------------------------------------------------------
 
-_NUMBER = (int, float)  # exact types below: a JSON true or false is never a number
+def _is_number(v) -> bool:
+    # exact types: a JSON true or false is never a number; an int must fit in a float
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
 _TYPES = {  # description -> test of a decoded JSON value
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in _NUMBER,
+    "a number": _is_number,
     "a string": lambda v: type(v) is str,
-    "a list of numbers": lambda v: type(v) is list and all(type(t) in _NUMBER for t in v),
+    "a list of numbers": lambda v: type(v) is list and all(map(_is_number, v)),
     "a list of csv/json": lambda v: type(v) is list and all(f in ("csv", "json") for f in v),
 }
 # config-file key -> what its value must be; a nested table is a JSON object
@@ -226,11 +229,7 @@ def _resolve_start(field, start: dict, seed: int) -> AugPoint:
             raise UsageError(f"start theta needs {field.dim} values, got {len(theta)}")
         return AugPoint(tuple(float(t) for t in theta), a, b)
     if mode == "seeded-random":
-        rng = random.Random(seed)
-        theta = field.interior_sample(rng, margin=0.0)
-        return AugPoint(theta,
-                        rng.uniform(*landscape.SEED_A_RANGE),
-                        rng.uniform(*landscape.SEED_B_RANGE))
+        return landscape.random_start(field, random.Random(seed), 0.0)
     if mode == "at-bad-minimum":
         index = int(start.get("index", 0))
         if not (0 <= index < len(field.bad_minima)):

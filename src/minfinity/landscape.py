@@ -24,6 +24,13 @@ SEED_B_RANGE = (-3.0, 3.0)
 B_ESCAPE_MARGIN = 5.0
 
 
+def random_start(field: ScalarField, rng: random.Random, margin: float) -> AugPoint:
+    """The random start of the finder, grad-check and ``--start-mode seeded-random``:
+    theta from ``interior_sample``, then a from SEED_A_RANGE and b from SEED_B_RANGE."""
+    theta = field.interior_sample(rng, margin)
+    return AugPoint(theta, rng.uniform(*SEED_A_RANGE), rng.uniform(*SEED_B_RANGE))
+
+
 @dataclass(frozen=True)
 class CriticalPointReport:
     point: AugPoint
@@ -38,9 +45,9 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
                          n_seeds: int = 256, seed: int = 0) -> list[CriticalPointReport]:
     """Damped descent from seeded starts; one report per start, converged or not.
 
-    Seeds draw theta uniformly from the field's box, a from [-2, 2] and b from
-    [-3, 3].  A report is converged only when the descent reached
-    ``Thresholds().grad_tol`` and :meth:`Thresholds.certifies` the end point.
+    Each seed is a :func:`random_start` with no margin.  A report is converged
+    only when the descent reached ``Thresholds().grad_tol`` and
+    :meth:`Thresholds.certifies` the end point.
     A seed also ends early, unconverged, when it is following the valley to
     infinity: at any iterate whose |b| exceeds ``Thresholds().b_max`` by a
     margin, and at any phase-1 iterate that :meth:`Thresholds.in_channel`
@@ -74,10 +81,8 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
 
     reports = []
     for index in range(n_seeds):
-        theta0 = [rng.uniform(lo, hi) for lo, hi in zip(field.lower, field.upper)]
-        x0 = theta0 + [rng.uniform(*SEED_A_RANGE), rng.uniform(*SEED_B_RANGE)]
         res = descend(
-            value_fn, grad_fn, x0,
+            value_fn, grad_fn, random_start(field, rng, 0.0).coords(),
             grad_tol=thr.grad_tol,
             max_iters=3000,
             polish_iters=2000,

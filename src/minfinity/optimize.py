@@ -202,9 +202,9 @@ def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerS
     """Baseline: the same optimizer on the raw loss, theta only.
 
     Runs the loop of :func:`run_optimizer` over [theta..., 0.0, 0.0] with a
-    kernel whose a and b gradient is 0, so a and b stay exactly 0.0 under
-    every update rule.  Recorded points carry a = b = u = 0 so exports share
-    one schema.
+    kernel whose a and b gradient is 0, so a and b stay +0.0 under every
+    update rule and under :func:`_sanitize`.  Recorded points carry
+    a = b = u = 0 so exports share one schema.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -266,13 +266,8 @@ def _run(field: ScalarField, kernel, theta_start: Sequence[float], a_start: floa
         stop = (not finite or gn <= grad_tol or step >= max_steps
                 or augmented and diverging(x[ia], x[ib], u))
         if stop or step <= dense or step % 10 == 0:
-            # every coordinate is a finite float: checked after each update.  A
-            # plain run records the literal 0.0: each update keeps its a and b
-            # at 0.0, but as new float objects
-            if augmented:
-                record(step, tuple(x[:dim]), x[ia], x[ib], loss, base, u, gn)
-            else:
-                record(step, tuple(x[:dim]), 0.0, 0.0, loss, base, u, gn)
+            # every coordinate is a finite float: checked after each update
+            record(step, tuple(x[:dim]), x[ia], x[ib], loss, base, u, gn)
         if stop:
             break
         x = update(x, g)

@@ -90,6 +90,18 @@ def test_contour_grid_min_where_exp_b_overflows(tmp_path):
 def test_contour_resolution_precondition(tmp_path):
     r = run_cli("contour", "--resolution", "1", "--out", str(tmp_path / "x"))
     assert r.returncode == 2
+    assert "resolution must be at least 2 per axis" in r.stderr
+    assert "Traceback" not in r.stderr and not (tmp_path / "x").exists()
+
+
+def test_contour_written_lists_only_this_runs_files(tmp_path):
+    out = tmp_path / "c"
+    args = ("contour", "--resolution", "5", "--out", str(out))
+    assert run_cli(*args, "--svg").returncode == 0
+    (out / "notes.txt").write_text("not the run's\n")
+    r = run_cli(*args)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["written"] == ["contour.csv", "contour.json"]
 
 
 @pytest.mark.parametrize("l_slice", ["nan", "inf"])
@@ -216,6 +228,9 @@ def test_optimize_rejects_unknown_config_keys(tmp_path):
     assert "unknown" in r.stderr
 
 
+HUGE = int("9" * 401)  # float() of it raises OverflowError
+
+
 @pytest.mark.parametrize("config, key", [
     ({"lambda": "x"}, "config.lambda"),
     ({"start": {"a": [1]}}, "config.start.a"),
@@ -225,6 +240,11 @@ def test_optimize_rejects_unknown_config_keys(tmp_path):
     ({"optimizer": {"max_steps": 2.5}}, "config.optimizer.max_steps"),
     ({"lambda": True}, "config.lambda"),
     ({"formats": [["csv"]]}, "config.formats"),
+    # an integer too large for a float is not a number
+    ({"lambda": HUGE}, "config.lambda"),
+    ({"start": {"theta": [HUGE]}}, "config.start.theta"),
+    ({"start": {"a": -HUGE}}, "config.start.a"),
+    ({"optimizer": {"step_size": HUGE}}, "config.optimizer.step_size"),
 ])
 def test_optimize_rejects_config_values_of_the_wrong_type(tmp_path, config, key):
     path = tmp_path / "bad.json"

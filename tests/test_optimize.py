@@ -381,6 +381,17 @@ def test_trajectory_csv_is_byte_stable(augmented, name, theta, kind, step, steps
     assert _csv_sha256(traj) == sha
 
 
+@pytest.mark.parametrize("kind", ["gd", "momentum", "adam"])
+def test_plain_failure_row_keeps_a_and_b_at_positive_zero(kind):
+    # with no box to clip it, theta overflows on the first update; _sanitize
+    # saturates it, and the recorded a and b are still +0.0
+    field = replace(get_field("quadratic-1d"), lower=(-math.inf,), upper=(math.inf,))
+    traj = run_plain(field, (1.0,), OptimizerSpec(kind=kind, step_size=1e308, max_steps=100))
+    assert traj.outcome.kind == FAILED and traj.total_steps == 1
+    assert traj.thetas == [(1.0,), (-1e308,)] and traj.losses[-1] == math.inf
+    assert [x.hex() for x in traj.a_values + traj.b_values] == ["0x0.0p+0"] * 4
+
+
 def test_integer_box_bound_is_recorded_as_float():
     field = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
     traj = run_optimizer(field, AugPoint((-3.0,), 0.1, 0.0), gd(1e-2, 50), CFG)

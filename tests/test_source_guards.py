@@ -1,6 +1,7 @@
 """Source guards: the log-space product, the floor slack, the default of each
 threshold and the JSON document format are each written once, the channel
-exit takes its limits from Thresholds alone, no field is built by a descent,
+exit takes its limits from Thresholds alone, the saturation policy is applied
+and the random start is drawn in one function each, no field is built by a descent,
 the finder's closures keep the shapes the benchmark's tracer wraps, the
 optimizer kernel remembers only its last theta, and trajectory rows have one
 append path and no per-step point."""
@@ -97,6 +98,45 @@ def test_channel_exit_limits_come_from_thresholds():
             and node.value in values] == []
     finder = _function("landscape.py", "find_critical_points")
     assert sum(_calls(node, "in_channel") for node in ast.walk(finder)) == 1
+
+
+def _functions_where(filename: str, test) -> list[str]:
+    """Names of the functions of ``filename`` (methods as Class.method) that
+    hold a node passing ``test``."""
+    tree = ast.parse((SRC / filename).read_text())
+    owners = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    owners += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return sorted(name for name, owner in owners if any(map(test, ast.walk(owner))))
+
+
+def test_saturation_policy_is_applied_in_one_function():
+    # augment._saturate is the one place that picks flag or raise; the routes
+    # call it only once a guard has tripped.  AugConfig.__post_init__ only
+    # checks that the value is a known policy
+    def compares_policy(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Attribute) and n.attr == "saturation_policy"
+            for n in ast.walk(node))
+
+    assert _functions_where("augment.py", compares_policy) == \
+        ["AugConfig.__post_init__", "_saturate"]
+    assert [name for name, node in _nodes() if compares_policy(node)] == ["augment.py"] * 2
+
+
+def test_random_start_is_drawn_in_one_function():
+    # the finder, grad-check and --start-mode seeded-random all call
+    # landscape.random_start; the seed ranges are read nowhere else
+    def reads_range(node):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        return name in ("SEED_A_RANGE", "SEED_B_RANGE") and isinstance(node.ctx, ast.Load)
+
+    assert _functions_where("landscape.py", reads_range) == ["random_start"]
+    assert [name for name, node in _nodes() if reads_range(node)] == ["landscape.py"] * 2
+    callers = sorted(name for name, node in _nodes() if _calls(node, "random_start"))
+    assert callers == ["cli.py", "landscape.py", "verify.py"]
 
 
 def test_no_field_is_built_by_a_descent():
