@@ -5,7 +5,9 @@ For a base loss L over theta and auxiliary scalars (a, b) with weight lam > 0:
     V(theta, a, b) = L(theta) * (1 + (a*exp(b) - 1)^2) + lam * a^2
 
 The product u = a*exp(b) is evaluated in log space so the interesting regime
-(a near 0 with b large and u near 1) never overflows through exp(b) alone.
+(a near 0 with b large and u near 1) never overflows through exp(b) alone;
+its exponent is pinned at the fixed clamp B_CLAMP = 700.  lam and the
+saturation policy are the only settings of :class:`AugConfig`.
 Gradient components, derived by hand and cross-checked against dual numbers
 and finite differences in the test suite:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import copysign, exp, log  # bare names: _terms is the hot path of every route
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 from .differentiation import exp_
 from .fields import FLOOR_SLACK, ScalarField
@@ -36,8 +38,7 @@ from .minimize import _sum_sq
 POLICY_ERROR = "error"
 POLICY_SATURATE = "flag-and-saturate"
 
-_MAX_B_CLAMP = 709.78  # exp still representable
-B_CLAMP = 700.0  # default exponent clamp
+B_CLAMP = 700.0  # the exponent clamp: exp(B_CLAMP) is representable
 
 
 class SaturationError(ArithmeticError):
@@ -47,14 +48,11 @@ class SaturationError(ArithmeticError):
 @dataclass(frozen=True)
 class AugConfig:
     lam: float = 1.0
-    b_clamp: float = B_CLAMP
     saturation_policy: str = POLICY_SATURATE
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be a positive real, got {self.lam!r}")
-        if not (0.0 < self.b_clamp <= _MAX_B_CLAMP):
-            raise ValueError(f"b_clamp must be in (0, {_MAX_B_CLAMP}], got {self.b_clamp!r}")
         if self.saturation_policy not in (POLICY_ERROR, POLICY_SATURATE):
             raise ValueError(f"unknown saturation policy {self.saturation_policy!r}")
 
@@ -64,15 +62,16 @@ class Thresholds:
     """The certificate, the divergence signature and the channel test, with
     their one set of limits.
 
-    ``grad_tol`` both stops an optimizer run and certifies it.  ``loss_tol``
-    and ``a_tol`` also bound the base loss and ``|a|`` of every converged
-    report in the critical-points suite.
+    ``grad_tol`` both stops an optimizer run and certifies it; it is the one
+    limit set per run, and the others are constants.  ``loss_tol`` and
+    ``a_tol`` also bound the base loss and ``|a|`` of every converged report
+    in the critical-points suite.
     """
 
-    b_max: float = 20.0
-    a_tol: float = 1e-3
-    loss_tol: float = 1e-4
-    u_window: float = 0.1
+    b_max: ClassVar[float] = 20.0
+    a_tol: ClassVar[float] = 1e-3
+    loss_tol: ClassVar[float] = 1e-4
+    u_window: ClassVar[float] = 0.1
     grad_tol: float = 1e-8
 
     def __post_init__(self):
@@ -88,10 +87,9 @@ class Thresholds:
         must vanish; without the residual the quasi-frozen plateau toward
         b -> -inf (a balances at L*exp(b)/lam and every gradient component
         dips under tolerance) would pass at a strictly positive base loss.
-        exp(b) is clamped so that a b_max above 709 cannot overflow.
         """
         return (grad_norm <= self.grad_tol and abs(b) <= self.b_max
-                and 2.0 * base_loss * exp(min(b, B_CLAMP)) <= self.grad_tol)
+                and 2.0 * base_loss * exp(b) <= self.grad_tol)
 
     def diverging(self, a: float, b: float, u: float) -> bool:
         """The divergence signature: b at or past b_max, u = a*exp(b) within
@@ -149,12 +147,12 @@ class AugGradient(NamedTuple):
         return math.sqrt(_sum_sq(self.d_theta) + self.d_a * self.d_a + self.d_b * self.d_b)
 
 
-def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
+def _terms(L: float, a: float, b: float, lam: float, grad_L=None):
     """The augmented formula at base loss ``L``: the one place it is written.
 
     ``L`` in ``[-FLOOR_SLACK, 0)`` reads as 0.  ``u = sign(a)*exp(log|a| + b)``
-    with the exponent pinned to ``[-clamp, clamp]``; ``u_sat`` says the pin
-    applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
+    with the exponent pinned to ``[-B_CLAMP, B_CLAMP]``; ``u_sat`` says the
+    pin applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
     gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead, with
     ``grad, b_sat`` from :func:`_slopes`.  Value-only calls skip exp(b) and
     the derivatives.  Raises nothing: the routes apply the policy.
@@ -166,39 +164,39 @@ def _terms(L: float, a: float, b: float, lam: float, clamp: float, grad_L=None):
         u_sat = False
     else:
         t = log(abs(a)) + b
-        if -clamp <= t <= clamp:
+        if -B_CLAMP <= t <= B_CLAMP:
             u_sat = False
         else:
             u_sat = True
-            t = copysign(clamp, t)
+            t = copysign(B_CLAMP, t)
         u = -exp(t) if a < 0.0 else exp(t)
     dev = u - 1.0
     # exact at L = 0: the whole first term vanishes for any finite (a, b)
     value = lam * a * a if L == 0.0 else L * (1.0 + dev * dev) + lam * a * a
     if grad_L is None:
         return value, L, u, u_sat
-    grad, b_sat = _slopes(L, a, b, u, lam, clamp, grad_L)
+    grad, b_sat = _slopes(L, a, b, u, lam, grad_L)
     return value, L, u, u_sat, grad, b_sat
 
 
-def _slopes(L: float, a: float, b: float, u: float, lam: float, clamp: float, grad_L):
+def _slopes(L: float, a: float, b: float, u: float, lam: float, grad_L):
     """The derivative half of :func:`_terms`, at the floored ``L`` and the ``u``
     it returned.
 
     Returns ``(grad, b_sat)``: ``grad`` is the list [dV/dtheta..., dV/da,
-    dV/db], and ``b_sat`` says exp(b) in dV/da was pinned at exp(clamp).
+    dV/db], and ``b_sat`` says exp(b) in dV/da was pinned at exp(B_CLAMP).
     """
     dev = u - 1.0
     mult = 1.0 + dev * dev
     grad = []
     for c in grad_L:  # a loop: for one or two coordinates a comprehension costs more
         grad.append(0.0 if c == 0.0 else c * mult)
-    b_sat = b > clamp
+    b_sat = b > B_CLAMP
     if L == 0.0:
         grad.append(2.0 * lam * a)
         grad.append(0.0)
     else:
-        grad.append(2.0 * L * dev * exp(clamp if b_sat else b) + 2.0 * lam * a)
+        grad.append(2.0 * L * dev * exp(B_CLAMP if b_sat else b) + 2.0 * lam * a)
         grad.append(2.0 * L * dev * u)
     return grad, b_sat
 
@@ -222,10 +220,10 @@ def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     """a*exp(b) as sign(a)*exp(log|a| + b); exact 0 when a == 0.
 
     The flag fires (or SaturationError is raised, by policy) only when the
-    combined exponent leaves [-b_clamp, b_clamp]; the returned value is then
-    pinned at the clamp.
+    combined exponent leaves [-B_CLAMP, B_CLAMP]; the returned value is then
+    pinned there.
     """
-    _, _, u, u_sat = _terms(0.0, a, b, cfg.lam, cfg.b_clamp)
+    _, _, u, u_sat = _terms(0.0, a, b, cfg.lam)
     if u_sat:
         _saturate(cfg, "u", a, b, u_sat)
     return u, u_sat
@@ -235,7 +233,7 @@ def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig,
              check_domain: bool = True) -> AugEval:
     """Augmented loss at ``point``; always >= base loss, >= 0."""
     base = field.value(point.theta, check_domain=check_domain)
-    value, base, u, saturated = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp)
+    value, base, u, saturated = _terms(base, point.a, point.b, cfg.lam)
     if saturated or not math.isfinite(value):
         saturated = _saturate(cfg, "augmented value", point.a, point.b, saturated)
     return AugEval(value, base, u, saturated)
@@ -246,8 +244,7 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
     """Analytic gradient; finite in all components unless flagged saturated."""
     base = field.value(point.theta, check_domain=check_domain)
     grad_base = field.gradient(point.theta, check_domain=check_domain)
-    _, _, _, u_sat, grad, b_sat = _terms(base, point.a, point.b, cfg.lam, cfg.b_clamp,
-                                         grad_base)
+    _, _, _, u_sat, grad, b_sat = _terms(base, point.a, point.b, cfg.lam, grad_base)
     saturated = u_sat or b_sat or not all(map(math.isfinite, grad))
     if saturated:
         _saturate(cfg, "gradient", point.a, point.b, u_sat, b_sat)
@@ -259,7 +256,7 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
 
 def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
     """Augmented value with the base loss frozen at the constant ``l_slice``."""
-    value, _, _, saturated = _terms(l_slice, a, b, cfg.lam, cfg.b_clamp)
+    value, _, _, saturated = _terms(l_slice, a, b, cfg.lam)
     if saturated or not math.isfinite(value):
         saturated = _saturate(cfg, "slice value", a, b, saturated)
     return value, saturated
@@ -298,7 +295,6 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
     raw_grad = field.raw_gradient
     offset = field.offset
     lam = cfg.lam
-    clamp = cfg.b_clamp
     seen = None  # the theta of the last call, with its L - offset and grad L
     seen_L = 0.0
     seen_grad = ()
@@ -310,7 +306,7 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
             seen_L = raw_value(theta) - offset
             seen_grad = raw_grad(theta)
             seen = theta
-        value, base, u, _, grad, _ = _terms(seen_L, x[dim], x[dim + 1], lam, clamp, seen_grad)
+        value, base, u, _, grad, _ = _terms(seen_L, x[dim], x[dim + 1], lam, seen_grad)
         return value, base, u, grad
 
     return kernel
@@ -332,22 +328,19 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     raw_grad = field.raw_gradient
     offset = field.offset
     lam = cfg.lam
-    clamp = cfg.b_clamp
     seen = None  # the list value() last saw, with its floored L and u
     seen_L = seen_u = 0.0
 
     def value(x):
         nonlocal seen, seen_L, seen_u
-        v, seen_L, seen_u, _ = _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1],
-                                      lam, clamp)
+        v, seen_L, seen_u, _ = _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1], lam)
         seen = x
         return v
 
     def grad(x):
         theta = x[:dim]
         if x is seen:
-            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, clamp, raw_grad(theta))[0]
-        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, clamp,
-                      raw_grad(theta))[4]
+            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, raw_grad(theta))[0]
+        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, raw_grad(theta))[4]
 
     return value, grad

@@ -85,7 +85,7 @@ def _cmd_eval(args) -> int:
         "L_tilde": result.value,
         "grad": {"theta": list(grad.d_theta), "a": grad.d_a, "b": grad.d_b},
         "saturated": bool(result.saturated or grad.saturated),
-        "config": {"lambda": cfg.lam, "b_clamp": cfg.b_clamp,
+        "config": {"lambda": cfg.lam, "b_clamp": augment.B_CLAMP,
                    "saturation_policy": cfg.saturation_policy},
     }))
     return EXIT_OK
@@ -156,8 +156,8 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+    except ValueError as exc:  # bad JSON, or an integer past the int-str digit limit
+        raise UsageError(f"config file cannot be decoded: {exc}")
     _check_config(doc, _TOP_KEYS, "config")
     return doc
 
@@ -217,8 +217,15 @@ def _resolve_run_config(args) -> dict:
     return merged
 
 
+# start mode -> the start keys it draws or looks up itself
+_REPLACED_START_KEYS = {"seeded-random": ("theta", "a", "b"), "at-bad-minimum": ("theta",)}
+
+
 def _resolve_start(field, start: dict, seed: int) -> AugPoint:
     mode = start.get("mode", "explicit")
+    for key in _REPLACED_START_KEYS.get(mode, ()):
+        if key in start:  # the echoed config would name a start the run did not use
+            raise UsageError(f"start.{key} (--{key}) is not used by start mode {mode!r}")
     a = float(start.get("a", 0.1 if mode == "at-bad-minimum" else 0.0))
     b = float(start.get("b", 0.0))
     if mode == "explicit":

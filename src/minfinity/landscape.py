@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import (B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
+from .augment import (AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
                       slice_value)
 from .fields import ScalarField
 from .minimize import descend
@@ -62,7 +62,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
     cfg = cfg or AugConfig()
     value_fn, grad_fn = fast_value_and_grad(field, cfg)
     rng = random.Random(seed)
-    dim, lam, clamp = field.dim, cfg.lam, cfg.b_clamp
+    dim, lam = field.dim, cfg.lam
     escape_at = thr.b_max + B_ESCAPE_MARGIN
 
     def escape(x, v, g):
@@ -75,7 +75,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
         theta_norm = math.hypot(*g[:dim])
         if not theta_norm <= thr.grad_tol:
             return False
-        u = _terms(0.0, a, b, lam, clamp)[2]
+        u = _terms(0.0, a, b, lam)[2]
         dev = u - 1.0
         return thr.in_channel(theta_norm, (v - lam * a * a) / (1.0 + dev * dev), u)
 
@@ -132,7 +132,7 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
         return slice_value(base, ab[0], ab[1], cfg)[0]
 
     def grad_fn(ab):
-        return _terms(base, ab[0], ab[1], cfg.lam, cfg.b_clamp, ())[4]  # [dV/da, dV/db]
+        return _terms(base, ab[0], ab[1], cfg.lam, ())[4]  # [dV/da, dV/db]
 
     res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
                   max_iters=80, polish_iters=0,
@@ -164,7 +164,7 @@ class ContourGrid:
         try:
             u = a * math.exp(b)  # kept wherever finite: contour.json bytes rest on it
         except OverflowError:  # exp(b) alone overflows; log-space u, clamped as in slice_value
-            u = _terms(0.0, a, b, self.lam, B_CLAMP)[2]
+            u = _terms(0.0, a, b, self.lam)[2]
         return {
             "i": i, "j": j, "a": a, "b": b, "value": best,
             "u_deviation": abs(u - 1.0),
@@ -189,13 +189,9 @@ def _axis(lo: float, hi: float, n: int) -> list[float]:
 def sample_contour(l_slice: float, lam: float = 1.0,
                    a_range: tuple[float, float] = (-2.0, 2.0),
                    b_range: tuple[float, float] = (-2.0, 4.0),
-                   resolution: int | tuple[int, int] = 101,
-                   cfg: AugConfig | None = None) -> ContourGrid:
-    """Dense evaluation of the augmented loss with the base frozen at l_slice.
-
-    ``cfg`` supplies the clamp and saturation policy; its ``lam`` must equal
-    ``lam``, the value the grid records.
-    """
+                   resolution: int | tuple[int, int] = 101) -> ContourGrid:
+    """Dense evaluation of the augmented loss with the base frozen at l_slice,
+    flagging the saturated cells."""
     if isinstance(resolution, int):
         na = nb = resolution
     else:
@@ -208,9 +204,7 @@ def sample_contour(l_slice: float, lam: float = 1.0,
         raise ValueError("ranges must be finite")
     if a_range[0] == a_range[1] or b_range[0] == b_range[1]:
         raise ValueError("ranges must have nonzero width")
-    cfg = cfg or AugConfig(lam=lam)
-    if cfg.lam != lam:
-        raise ValueError(f"lam {lam!r} disagrees with cfg.lam {cfg.lam!r}")
+    cfg = AugConfig(lam=lam)
     a_axis = _axis(a_range[0], a_range[1], na)
     b_axis = _axis(b_range[0], b_range[1], nb)
     values = []

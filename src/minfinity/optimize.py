@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from math import inf, isfinite, sqrt  # bare names: _run's loop is the hot path
 from typing import IO, Callable, Sequence
 
-from .augment import B_CLAMP, AugConfig, AugPoint, Thresholds, _terms, fast_kernel
+from .augment import AugConfig, AugPoint, Thresholds, _terms, fast_kernel
 from .fields import DimensionError, ScalarField
 from .minimize import _clip, _sum_sq
 
@@ -214,7 +214,7 @@ def run_plain(field: ScalarField, theta_start: Sequence[float], spec: OptimizerS
     def kernel(x):
         theta = x[:dim]
         # _terms applies the [-FLOOR_SLACK, 0) -> 0 floor and returns L second
-        base = _terms(raw_value(theta) - offset, 0.0, 0.0, 1.0, B_CLAMP)[1]
+        base = _terms(raw_value(theta) - offset, 0.0, 0.0, 1.0)[1]
         return base, base, 0.0, [*raw_grad(theta), 0.0, 0.0]
 
     return _run(field, kernel, theta_start, 0.0, 0.0, spec, thresholds or Thresholds(),

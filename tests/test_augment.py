@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from minfinity import (AugConfig, AugPoint, SaturationError, Thresholds, eval_u,
                        evaluate, field_names, get_field, gradient, probe_infimum)
-from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, fast_kernel,
+from minfinity.augment import (B_CLAMP, POLICY_ERROR, POLICY_SATURATE, fast_kernel,
                                fast_value_and_grad, slice_value)
 from test_landscape import _signed_field
 from test_optimize import _counting
@@ -56,7 +56,7 @@ def test_u_flag_matches_exponent_arithmetic(a, b):
     if a == 0.0:
         assert u == 0.0 and not sat
     else:
-        assert sat == (abs(math.log(abs(a)) + b) > CFG.b_clamp)
+        assert sat == (abs(math.log(abs(a)) + b) > B_CLAMP)
         assert math.isfinite(u)
 
 
@@ -216,8 +216,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AugConfig(lam=0.0)
     with pytest.raises(ValueError):
-        AugConfig(b_clamp=1000.0)
-    with pytest.raises(ValueError):
         AugConfig(saturation_policy="ignore")
     with pytest.raises(ValueError):
         AugPoint((1.0,), math.inf, 0.0)
@@ -236,20 +234,18 @@ def test_certificate_edges():
     # the residual 2*L*exp(0) exactly at the tolerance, then one float above it
     assert thr.certifies(0.0, tol / 2, 0.0)
     assert not thr.certifies(0.0, math.nextafter(tol / 2, math.inf), 0.0)
-    # past exp's range the residual reads exp(b) at the clamp: no OverflowError
-    wide = Thresholds(b_max=1000.0)
-    assert wide.certifies(0.0, 0.0, 1000.0)
-    assert not wide.certifies(0.0, 1e-300, 1000.0)
 
 
 def test_divergence_signature_edges():
-    thr = Thresholds(u_window=0.25)  # dyadic: 1 +- u_window is exact
+    thr = Thresholds()
     b_max, a_edge = thr.b_max, 10.0 * thr.a_tol
-    assert thr.diverging(a_edge, b_max, 1.25) and thr.diverging(-a_edge, b_max, 0.75)
+    assert thr.diverging(a_edge, b_max, 1.0) and thr.diverging(-a_edge, b_max, 1.0)
     assert not thr.diverging(0.0, math.nextafter(b_max, -math.inf), 1.0)
     assert not thr.diverging(math.nextafter(a_edge, math.inf), b_max, 1.0)
-    assert not thr.diverging(0.0, b_max, math.nextafter(1.25, math.inf))
-    assert not thr.diverging(0.0, b_max, math.nextafter(0.75, -math.inf))
+    # the u edges of test_channel_edges: the float below 1.1 and 0.9 are inside
+    for inside, outside in ((math.nextafter(1.1, 1.0), 1.1), (0.9, math.nextafter(0.9, 0.0))):
+        assert thr.diverging(a_edge, b_max, inside) and thr.diverging(-a_edge, b_max, inside)
+        assert not thr.diverging(0.0, b_max, outside)
 
 
 def test_channel_edges():
@@ -290,10 +286,11 @@ def _oracle_points(field, rng):
 # sha256 over the float.hex outputs of eval_u, evaluate, gradient, slice_value,
 # the fast closures and probe_infimum at the oracle points, recorded while each
 # route still wrote the augmented formula out by hand, and re-recorded when
-# double-well and ackley got exact zeros (the other fields' bytes held)
+# double-well and ackley got exact zeros (the other fields' bytes held).  The
+# lam = 0.3 row was recorded when the exponent clamp became the constant B_CLAMP
 ORACLE_SHA = {
     AugConfig(): "202f445b88d2f2abfc69ebed943d5049bdb788697ac1fc8abd5067d6a018097b",
-    AugConfig(lam=0.3, b_clamp=30.0): "a094dacea2821510179043c5eb28f89a019d48ebbd6928f2c39e1a2b246fb8b9",
+    AugConfig(lam=0.3): "1921cec3672be645bf08b9b63238dc6f16ca9e83d64e6d363c6f5cc297d61830",
 }
 
 
@@ -358,3 +355,20 @@ def test_fast_kernel_reuses_the_base_loss_of_an_unchanged_theta_only():
             v, base, u, g = kernel(x)
             assert _bits([v, base, u, *g]) == fresh(field, x), (field.name, step)
             assert calls == {"raw_value": n, "raw_gradient": n}, (field.name, step)
+
+
+def test_fast_closures_ignore_the_saturation_policy_past_the_clamp():
+    # past B_CLAMP, or where (u - 1)^2 overflows, the validated routes raise
+    # under the error policy; the fast closures never raise, and return the
+    # default policy's bits
+    field = get_field("quadratic-1d")
+    for a, b in ((1.0, 800.0), (-1e-300, -800.0), (1e-8, 710.0)):
+        x = [1.0, a, b]
+        outs = []
+        for cfg in (CFG, ERR_CFG):
+            value_fn, grad_fn = fast_value_and_grad(field, cfg)
+            v, base, u, g = fast_kernel(field, cfg)(x)
+            outs.append(_bits([v, base, u, *g, value_fn(x), *grad_fn(x)]))
+        assert outs[0] == outs[1], (a, b)
+        with pytest.raises(SaturationError):
+            evaluate(field, AugPoint((1.0,), a, b), ERR_CFG)

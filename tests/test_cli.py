@@ -269,6 +269,40 @@ def test_optimize_config_echoes_valid_values_unchanged(tmp_path):
         == '[1, 3, {"index": 0, "mode": "explicit", "theta": [1]}]'
 
 
+def test_config_integer_past_the_digit_limit_names_the_config_file(tmp_path, capsys):
+    # json.dumps cannot write this: json.load raises a plain ValueError on it
+    path = tmp_path / "big.json"
+    path.write_text('{"lambda": ' + "9" * 5000 + '}')
+    assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and "4300" in err
+    assert not (tmp_path / "o").exists()
+
+
+# a start coordinate the mode replaces: the echoed config would name a start
+# the run did not use.  ``index`` under ``explicit`` is echoed and allowed
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+@pytest.mark.parametrize("field, mode, flags, config, key", [
+    ("quadratic-1d", "seeded-random", ["--theta", "3"], {}, "theta"),
+    ("quadratic-1d", "seeded-random", ["--a", "0.5"], {}, "a"),
+    ("quadratic-1d", "seeded-random", ["--b", "1.0"], {}, "b"),
+    ("quadratic-1d", "seeded-random", [], {"theta": [3.0]}, "theta"),
+    ("quadratic-1d", "seeded-random", [], {"b": 0}, "b"),
+    ("rastrigin-1d", "at-bad-minimum", ["--theta", "3"], {}, "theta"),
+    ("rastrigin-1d", "at-bad-minimum", [], {"theta": [0.99]}, "theta"),
+])
+def test_a_start_key_the_mode_replaces_is_a_usage_error(tmp_path, capsys, command, field,
+                                                        mode, flags, config, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"field": field, "start": {"mode": mode, **config}}))
+    out = tmp_path / "o"
+    argv = [command, "--config", str(path), "--max-steps", "10", "--out", str(out), *flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"start.{key}" in captured.err and mode in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("optimizer, key", [
     ({"kind": "adam", "beta2": 1.0}, "beta2"),  # Adam's bias correction divides by 0
     ({"kind": "adam", "beta1": 1.0}, "beta1"),

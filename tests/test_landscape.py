@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from minfinity import (AugConfig, AugGradient, ContourGrid, Thresholds, cli, eval_u,
+from minfinity import (AugConfig, AugGradient, ContourGrid, Thresholds, cli,
                        field_names, find_critical_points, get_field, gradient, landscape,
                        probe_infimum, sample_contour, stationarity_scan, verify)
 from minfinity.augment import POLICY_ERROR, POLICY_SATURATE, fast_value_and_grad
@@ -67,16 +67,15 @@ def test_violator_yields_zero_converged_reports():
 
 
 def test_finder_reports_do_not_depend_on_the_saturation_policy():
-    # with a clamp of 5 some runs end past it, where the validated routes would
-    # raise under the error policy; the fast closures never raise, so the
+    # the finder runs on the fast closures, which never raise (test_augment's
+    # test_fast_closures_ignore_the_saturation_policy_past_the_clamp), so the
     # policy changes nothing
     for name in ("rastrigin-1d", "double-well-1d"):
         field = get_field(name)
-        err, sat = (find_critical_points(field, AugConfig(b_clamp=5.0, saturation_policy=policy),
+        err, sat = (find_critical_points(field, AugConfig(saturation_policy=policy),
                                          n_seeds=16, seed=2)
                     for policy in (POLICY_ERROR, POLICY_SATURATE))
         assert err == sat
-        assert any(eval_u(r.point.a, r.point.b, AugConfig(b_clamp=5.0))[1] for r in sat)
 
 
 def test_finder_reports_are_bitwise_stable():
@@ -367,13 +366,6 @@ def test_contour_validation():
             sample_contour(l_slice, 1.0)
 
 
-def test_contour_rejects_a_config_lambda_that_disagrees():
-    # the grid records lam; a cfg with another lam would sample a different
-    # surface than the one it names
-    with pytest.raises(ValueError):
-        sample_contour(0.7, cfg=AugConfig(lam=0.3))
-
-
 def test_grid_axes_hit_endpoints_exactly():
     grid = sample_contour(1.0, 1.0, a_range=(-2.0, 2.0), b_range=(-2.0, 4.0),
                           resolution=(11, 7))
@@ -389,16 +381,15 @@ def test_saturated_cells_are_flagged():
 
 
 def test_contour_grid_is_byte_stable():
-    # a grid across the exponent clamp of 30; the sha256 of its float.hex
-    # values and flagged cells was recorded before slice_value shared its
-    # arithmetic with evaluate and the fast closures
-    cfg = AugConfig(lam=0.3, b_clamp=30.0)
-    grid = sample_contour(0.7, 0.3, a_range=(-2.0, 2.0), b_range=(-40.0, 60.0),
-                          resolution=(41, 51), cfg=cfg)
-    assert grid.saturated
+    # a grid out to b = 400, where (u - 1)^2 overflows in 234 of its 2 091
+    # cells; the sha256 of its float.hex values and flagged cells was
+    # recorded when the exponent clamp became a constant
+    grid = sample_contour(0.7, 0.3, a_range=(-2.0, 2.0), b_range=(-40.0, 400.0),
+                          resolution=(41, 51))
+    assert len(grid.saturated) == 234
     text = " ".join(v.hex() for row in grid.values for v in row) + repr(grid.saturated)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "8bed724a8fd30b949a99abaf5d4b10f083ef78ac9f065c31c7c382d91d4a1128"
+        "fe6be4f8aa6f5a28b45ac0f33f179881b1849d38bcdd7e55b0c5f44ea1c621e9"
 
 
 # --- svg ---------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Source guards: the log-space product, the floor slack, the default of each
-threshold and the JSON document format are each written once, the channel
-exit takes its limits from Thresholds alone, the saturation policy is applied
-and the random start is drawn in one function each, no field is built by a descent,
-the finder's closures keep the shapes the benchmark's tracer wraps, the
-optimizer kernel remembers only its last theta, and trajectory rows have one
-append path and no per-step point."""
+"""Source guards: the log-space product, the floor slack, the exponent clamp,
+the default of each threshold and the JSON document format are each written
+once; lam, the saturation policy and grad_tol are the core's only settings;
+the channel exit takes its limits from Thresholds alone; the saturation
+policy is applied and the random start is drawn in one function each; no
+field is built by a descent; the finder's closures keep the shapes the
+benchmark's tracer wraps; the optimizer kernel remembers only its last theta;
+and trajectory rows have one append path and no per-step point."""
 import ast
 import dataclasses
 from pathlib import Path
 
 import minfinity
-from minfinity import Trajectory
+from minfinity import AugConfig, Thresholds, Trajectory
 
 SRC = Path(minfinity.__file__).resolve().parent
 
@@ -39,6 +40,20 @@ def test_floor_slack_is_written_once():
     assert found == ["fields.py"]
 
 
+def test_only_lam_policy_and_grad_tol_are_settings():
+    # the exponent clamp is augment.B_CLAMP alone: AugConfig holds lam and the
+    # saturation policy, Thresholds sets grad_tol per run and keeps its other
+    # limits as class constants, and the scalar core takes no clamp
+    assert [f.name for f in dataclasses.fields(AugConfig)] == ["lam", "saturation_policy"]
+    assert [f.name for f in dataclasses.fields(Thresholds)] == ["grad_tol"]
+    for name in ("_terms", "_slopes"):
+        args = _function("augment.py", name).args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        assert not [p for p in params if "clamp" in p], name
+    assert [name for name, node in _nodes()
+            if isinstance(node, ast.Constant) and node.value == 700.0] == ["augment.py"]
+
+
 def _defaults(owner):
     """(name, default node) of each defaulted parameter or class field of ``owner``."""
     if isinstance(owner, ast.ClassDef):
@@ -52,9 +67,9 @@ def _defaults(owner):
 
 
 def test_threshold_defaults_are_written_once():
-    # b_max = 20.0, grad_tol = 1e-8, loss_tol = 1e-4 and u_window = 0.1 are
-    # defaults of Thresholds; every reader in the package takes them from a
-    # Thresholds instance.  descend keeps its own default only for outside
+    # b_max = 20.0, loss_tol = 1e-4 and u_window = 0.1 are constants of
+    # Thresholds and grad_tol = 1e-8 its default; every reader in the package
+    # takes them from a Thresholds instance.  descend keeps its own default only for outside
     # callers that pass no tolerance (the benchmark's helper tests); every
     # call in the package passes one
     wanted = {"b_max": 20.0, "grad_tol": 1e-8, "loss_tol": 1e-4, "u_window": 0.1}
