@@ -4,7 +4,7 @@ base loss, while strictly positive local minima turn into minima at infinity.
 """
 
 from .augment import (AugConfig, AugEval, AugGradient, AugPoint,
-                      SaturationError, Thresholds, eval_u, evaluate, gradient)
+                      SaturationError, Thresholds, evaluate, gradient)
 from .fields import (BadMinimum, DimensionError, DomainError, FieldError,
                      NonFiniteError, NormalizationError, ScalarField,
                      field_names, get_field, normalize, zero_min_field_names)
@@ -21,8 +21,8 @@ __all__ = [
     "ContourGrid", "CriticalPointReport", "DimensionError", "DomainError",
     "FieldError", "NonFiniteError", "NormalizationError", "OptimizerSpec",
     "OutcomeLabel", "SaturationError", "ScalarField", "Thresholds",
-    "Trajectory", "classify_trajectory", "compare_baseline", "eval_u",
-    "evaluate", "field_names", "find_critical_points", "get_field",
+    "Trajectory", "classify_trajectory", "compare_baseline", "evaluate",
+    "field_names", "find_critical_points", "get_field",
     "gradient", "normalize", "probe_infimum", "run_optimizer", "run_plain",
     "sample_contour", "stationarity_scan", "zero_min_field_names",
     "__version__",

@@ -16,13 +16,14 @@ and finite differences in the test suite:
     dV/dtheta = grad L * (1 + (u - 1)^2)
 
 All of this, with the floor of L at FLOOR_SLACK, is written once, in the
-scalar core :func:`_terms` and its derivative half :func:`_slopes`.
-``eval_u``, ``evaluate``, ``gradient``, ``slice_value`` and the fast closures
-call it; the first four apply the saturation policy in :func:`_saturate`.
-``lifted_loss`` stays a separate route on purpose: it is the dual-number
-oracle the core is checked against.  The certificate of a finite critical
-point, the signature of a run heading to b -> inf and the test for a bad
-minimum's channel are written once too, as the methods of :class:`Thresholds`.
+scalar core :func:`_terms` (the value, the floored L and u) and its
+derivative half :func:`_slopes`, which takes that L and u.  ``evaluate``,
+``slice_value``, ``gradient`` and the fast closures call it; the first three
+apply the saturation policy in :func:`_saturate`.  ``lifted_loss`` stays a
+separate route on purpose: it is the dual-number oracle the core is checked
+against.  The certificate of a finite critical point, the signature of a run
+heading to b -> inf and the test for a bad minimum's channel are written
+once too, as the methods of :class:`Thresholds`.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 from .differentiation import exp_
 from .fields import FLOOR_SLACK, ScalarField
-from .minimize import _sum_sq
 
 POLICY_ERROR = "error"
 POLICY_SATURATE = "flag-and-saturate"
@@ -143,19 +143,15 @@ class AugGradient(NamedTuple):
     d_b: float
     saturated: bool
 
-    def norm(self) -> float:
-        return math.sqrt(_sum_sq(self.d_theta) + self.d_a * self.d_a + self.d_b * self.d_b)
 
-
-def _terms(L: float, a: float, b: float, lam: float, grad_L=None):
+def _terms(L: float, a: float, b: float, lam: float):
     """The augmented formula at base loss ``L``: the one place it is written.
 
     ``L`` in ``[-FLOOR_SLACK, 0)`` reads as 0.  ``u = sign(a)*exp(log|a| + b)``
     with the exponent pinned to ``[-B_CLAMP, B_CLAMP]``; ``u_sat`` says the
-    pin applied.  Returns ``(V, L, u, u_sat)``.  Given ``grad_L``, the theta
-    gradient of L, it returns ``(V, L, u, u_sat, grad, b_sat)`` instead, with
-    ``grad, b_sat`` from :func:`_slopes`.  Value-only calls skip exp(b) and
-    the derivatives.  Raises nothing: the routes apply the policy.
+    pin applied.  Returns ``(V, L, u, u_sat)``; a route that needs the
+    gradient passes the returned ``L`` and ``u`` on to :func:`_slopes`.
+    Raises nothing: the routes apply the policy.
     """
     if L < 0.0 and L >= -FLOOR_SLACK:
         L = 0.0
@@ -173,15 +169,12 @@ def _terms(L: float, a: float, b: float, lam: float, grad_L=None):
     dev = u - 1.0
     # exact at L = 0: the whole first term vanishes for any finite (a, b)
     value = lam * a * a if L == 0.0 else L * (1.0 + dev * dev) + lam * a * a
-    if grad_L is None:
-        return value, L, u, u_sat
-    grad, b_sat = _slopes(L, a, b, u, lam, grad_L)
-    return value, L, u, u_sat, grad, b_sat
+    return value, L, u, u_sat
 
 
 def _slopes(L: float, a: float, b: float, u: float, lam: float, grad_L):
-    """The derivative half of :func:`_terms`, at the floored ``L`` and the ``u``
-    it returned.
+    """The derivative half of the core, at the floored ``L`` and the ``u`` that
+    :func:`_terms` returned; ``grad_L`` is the theta gradient of L.
 
     Returns ``(grad, b_sat)``: ``grad`` is the list [dV/dtheta..., dV/da,
     dV/db], and ``b_sat`` says exp(b) in dV/da was pinned at exp(B_CLAMP).
@@ -203,8 +196,9 @@ def _slopes(L: float, a: float, b: float, u: float, lam: float, grad_L):
 
 def _saturate(cfg: AugConfig, route: str, a: float, b: float, u_sat: bool,
               b_sat: bool = False) -> bool:
-    """The policy once a guard of ``route`` has tripped: the flag (True), or under
-    ``error`` a SaturationError naming the first guard that tripped."""
+    """The policy once a guard of ``route`` (value, gradient or slice value) has
+    tripped: the flag (True), or under ``error`` a SaturationError naming the
+    first guard that tripped."""
     if cfg.saturation_policy == POLICY_SATURATE:
         return True
     if u_sat:
@@ -214,19 +208,6 @@ def _saturate(cfg: AugConfig, route: str, a: float, b: float, u_sat: bool,
     else:
         why = f"{route} overflow"
     raise SaturationError(f"{why} at a={a!r} b={b!r}")
-
-
-def eval_u(a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:
-    """a*exp(b) as sign(a)*exp(log|a| + b); exact 0 when a == 0.
-
-    The flag fires (or SaturationError is raised, by policy) only when the
-    combined exponent leaves [-B_CLAMP, B_CLAMP]; the returned value is then
-    pinned there.
-    """
-    _, _, u, u_sat = _terms(0.0, a, b, cfg.lam)
-    if u_sat:
-        _saturate(cfg, "u", a, b, u_sat)
-    return u, u_sat
 
 
 def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig,
@@ -244,7 +225,8 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
     """Analytic gradient; finite in all components unless flagged saturated."""
     base = field.value(point.theta, check_domain=check_domain)
     grad_base = field.gradient(point.theta, check_domain=check_domain)
-    _, _, _, u_sat, grad, b_sat = _terms(base, point.a, point.b, cfg.lam, grad_base)
+    _, base, u, u_sat = _terms(base, point.a, point.b, cfg.lam)
+    grad, b_sat = _slopes(base, point.a, point.b, u, cfg.lam, grad_base)
     saturated = u_sat or b_sat or not all(map(math.isfinite, grad))
     if saturated:
         _saturate(cfg, "gradient", point.a, point.b, u_sat, b_sat)
@@ -265,15 +247,16 @@ def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[flo
 def lifted_loss(field: ScalarField, lam: float) -> Callable[[Sequence], object]:
     """The augmented loss as a dual-liftable function of [theta..., a, b].
 
-    Deliberately computes u = a*exp(b) directly (no log-space rewrite, no
-    zero shortcuts) so dual-number differentiation exercises an independent
-    arithmetic route.
+    Deliberately computes u = a*exp(b) directly and L as the raw formula
+    minus the offset (no log-space rewrite, no zero shortcuts, no floor) so
+    dual-number differentiation exercises an independent arithmetic route.
     """
     def f(coords: Sequence):
         theta = coords[:field.dim]
         a, b = coords[field.dim], coords[field.dim + 1]
         u = a * exp_(b)
-        return field.lifted_value(theta) * (1.0 + (u - 1.0) ** 2) + lam * (a * a)
+        L = field.raw_value(theta) - field.offset
+        return L * (1.0 + (u - 1.0) ** 2) + lam * (a * a)
 
     return f
 
@@ -282,13 +265,13 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
     """Unvalidated closure ``x -> (V, L, u, grad V)`` over the flat state
     [theta..., a, b] for hot loops.
 
-    One :func:`_terms` call per evaluation.  ``raw_value`` and
-    ``raw_gradient`` run only when theta differs from the last call's or
-    holds a zero: in a bad minimum's channel theta sits still while (a, b)
-    move.  Equal nonzero floats have equal bits (the zero test catches -0.0
-    too), so results are bitwise those of a fresh kernel.  Same arithmetic
-    as :func:`evaluate` / :func:`gradient` under the flag-and-saturate
-    policy; callers keep theta inside the field's box.
+    One :func:`_terms` and one :func:`_slopes` call per evaluation.
+    ``raw_value`` and ``raw_gradient`` run only when theta differs from the
+    last call's or holds a zero: in a bad minimum's channel theta sits still
+    while (a, b) move.  Equal nonzero floats have equal bits (the zero test
+    catches -0.0 too), so results are bitwise those of a fresh kernel.  Same
+    arithmetic as :func:`evaluate` / :func:`gradient` under the
+    flag-and-saturate policy; callers keep theta inside the field's box.
     """
     dim = field.dim
     raw_value = field.raw_value
@@ -306,8 +289,9 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
             seen_L = raw_value(theta) - offset
             seen_grad = raw_grad(theta)
             seen = theta
-        value, base, u, _, grad, _ = _terms(seen_L, x[dim], x[dim + 1], lam, seen_grad)
-        return value, base, u, grad
+        a, b = x[dim], x[dim + 1]
+        value, base, u, _ = _terms(seen_L, a, b, lam)
+        return value, base, u, _slopes(base, a, b, u, lam, seen_grad)[0]
 
     return kernel
 
@@ -315,12 +299,14 @@ def fast_kernel(field: ScalarField, cfg: AugConfig):
 def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     """Unvalidated closures ``(value, grad)`` over [theta..., a, b] for hot loops.
 
-    The same :func:`_terms` arithmetic as :func:`fast_kernel`; ``value`` stops
-    before the derivatives.  Same caveats as that kernel.
+    The same :func:`_terms` and :func:`_slopes` arithmetic as
+    :func:`fast_kernel`; ``value`` stops before the derivatives.  Same caveats
+    as that kernel.
 
-    The pair's one reuse rule: ``grad`` reuses the floored ``L`` and the ``u``
-    that ``value`` computed when it gets back the very list object ``value``
-    last saw, so the caller must not mutate a list between the two calls.
+    ``grad`` has one path: it takes the floored ``L`` and the ``u`` that
+    ``value`` computed, and first calls ``value`` on any list other than the
+    very object ``value`` last saw.  So ``grad`` on a list leaves ``value``'s
+    state at that list, and the caller must not mutate a list between calls.
     Results are bitwise those of a fresh pair.
     """
     dim = field.dim
@@ -338,9 +324,8 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
         return v
 
     def grad(x):
-        theta = x[:dim]
-        if x is seen:
-            return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, raw_grad(theta))[0]
-        return _terms(raw_value(theta) - offset, x[dim], x[dim + 1], lam, raw_grad(theta))[4]
+        if x is not seen:
+            value(x)
+        return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, raw_grad(x[:dim]))[0]
 
     return value, grad

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 from . import augment, landscape, optimize, svgplot, verify
@@ -306,7 +307,7 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seeds is not None and args.suite not in ("critical-points", "all"):
         raise UsageError("--seeds applies to the critical-points and all suites only")
-    n_seeds = verify.FINDER_SEEDS if args.seeds is None else args.seeds
+    n_seeds = landscape.FINDER_SEEDS if args.seeds is None else args.seeds
     seed = args.seed if args.seed is not None else _default_seed()
     report = verify.run_suite(args.suite, seed, n_seeds)  # raises on n_seeds < 1
     if args.out:
@@ -319,8 +320,21 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 and -2E1 as negative numbers, not as
+    options: the pattern of argparse in Python 3.11 knows only -12 and -1.5.
+    Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minfinity",
         description="Evaluate, optimize and verify the augmented loss "
                     "L(theta)*(1+(a*exp(b)-1)^2) + lambda*a^2.")

@@ -102,10 +102,6 @@ class ScalarField:
             raise NonFiniteError(f"{self.name}: non-finite gradient at {theta}")
         return g
 
-    def lifted_value(self, coords: Sequence) -> object:
-        """Raw formula minus offset on dual numbers (or floats); no clamping."""
-        return self.raw_value(coords) - self.offset
-
     def contains(self, theta: Sequence[float]) -> bool:
         return all(lo <= t <= hi for t, lo, hi in zip(theta, self.lower, self.upper))
 

@@ -14,14 +14,15 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import (AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
-                      slice_value)
+from .augment import (AugConfig, AugPoint, Thresholds, _slopes, _terms,
+                      fast_value_and_grad, slice_value)
 from .fields import ScalarField
 from .minimize import descend
 
 SEED_A_RANGE = (-2.0, 2.0)
 SEED_B_RANGE = (-3.0, 3.0)
 B_ESCAPE_MARGIN = 5.0
+FINDER_SEEDS = 256  # the finder's default starts per field; verify's sweep uses it too
 
 
 def random_start(field: ScalarField, rng: random.Random, margin: float) -> AugPoint:
@@ -42,7 +43,7 @@ class CriticalPointReport:
 
 
 def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
-                         n_seeds: int = 256, seed: int = 0) -> list[CriticalPointReport]:
+                         n_seeds: int = FINDER_SEEDS, seed: int = 0) -> list[CriticalPointReport]:
     """Damped descent from seeded starts; one report per start, converged or not.
 
     Each seed is a :func:`random_start` with no margin.  A report is converged
@@ -132,7 +133,9 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
         return slice_value(base, ab[0], ab[1], cfg)[0]
 
     def grad_fn(ab):
-        return _terms(base, ab[0], ab[1], cfg.lam, ())[4]  # [dV/da, dV/db]
+        a, b = ab
+        _, L, u, _ = _terms(base, a, b, cfg.lam)
+        return _slopes(L, a, b, u, cfg.lam, ())[0]  # [dV/da, dV/db]
 
     res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
                   max_iters=80, polish_iters=0,

@@ -27,7 +27,6 @@ INFIMUM_TOL = 1e-3
 _EPS = sys.float_info.epsilon
 
 SUITES = ("grad-check", "critical-points", "infimum", "all")
-FINDER_SEEDS = 256  # finder starts per field in the critical-points sweep
 
 
 def rel_err(x: float, y: float) -> float:
@@ -93,7 +92,7 @@ def grad_check_suite(seed: int = 0, n_points: int = 1000,
     return _wrap("grad-check", seed, checks)
 
 
-def critical_point_suite(seed: int = 0, n_seeds: int = FINDER_SEEDS,
+def critical_point_suite(seed: int = 0, n_seeds: int = landscape.FINDER_SEEDS,
                          fields: list[str] | None = None) -> dict:
     cfg = AugConfig()
     thr = Thresholds()
@@ -147,7 +146,7 @@ def infimum_suite(seed: int = 0, n_points: int = 100,
     return _wrap("infimum", seed, checks)
 
 
-def run_suite(suite: str, seed: int = 0, n_seeds: int = FINDER_SEEDS) -> dict:
+def run_suite(suite: str, seed: int = 0, n_seeds: int = landscape.FINDER_SEEDS) -> dict:
     """One suite, or all three; ``n_seeds`` sizes the critical-points sweep."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")

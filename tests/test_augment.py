@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfinity import (AugConfig, AugPoint, SaturationError, Thresholds, eval_u,
-                       evaluate, field_names, get_field, gradient, probe_infimum)
-from minfinity.augment import (B_CLAMP, POLICY_ERROR, POLICY_SATURATE, fast_kernel,
+from minfinity import (AugConfig, AugPoint, SaturationError, Thresholds, evaluate,
+                       field_names, get_field, gradient, probe_infimum)
+from minfinity.augment import (B_CLAMP, POLICY_ERROR, POLICY_SATURATE, _terms, fast_kernel,
                                fast_value_and_grad, slice_value)
 from test_landscape import _signed_field
 from test_optimize import _counting
@@ -20,39 +20,44 @@ CFG = AugConfig()
 ERR_CFG = AugConfig(saturation_policy=POLICY_ERROR)
 
 
-# --- eval_u -----------------------------------------------------------------
+# --- u = a*exp(b) in the scalar core -----------------------------------------
+
+def _u(a, b):
+    """(u, u_sat) as the core computes them; u does not depend on L or lam."""
+    return _terms(0.0, a, b, CFG.lam)[2:]
+
 
 def test_u_zero_times_anything():
-    assert eval_u(0.0, 50.0, CFG) == (0.0, False)
+    assert _u(0.0, 50.0) == (0.0, False)
 
 
 def test_u_identity_by_construction():
-    u, sat = eval_u(0.5, math.log(2.0), CFG)
+    u, sat = _u(0.5, math.log(2.0))
     assert not sat
     assert u == pytest.approx(1.0, abs=1e-15)
 
 
 def test_u_tiny_a_large_b_is_representable_and_unflagged():
     # log(1e-300) + 800 is about 109, comfortably inside the clamp
-    u, sat = eval_u(1e-300, 800.0, CFG)
+    u, sat = _u(1e-300, 800.0)
     assert not sat
     assert u == math.exp(math.log(1e-300) + 800.0)
 
 
 def test_u_flag_fires_only_past_the_clamp():
-    u, sat = eval_u(1.0, 800.0, CFG)
+    u, sat = _u(1.0, 800.0)
     assert sat and u == math.exp(700.0)
-    u, sat = eval_u(1e-300, -50.0, CFG)  # exponent ~ -741
+    u, sat = _u(1e-300, -50.0)  # exponent ~ -741
     assert sat and u == math.exp(-700.0)
     with pytest.raises(SaturationError):
-        eval_u(1.0, 800.0, ERR_CFG)
+        slice_value(0.0, 1.0, 800.0, ERR_CFG)
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
        b=st.floats(min_value=-900, max_value=900, allow_nan=False))
 def test_u_flag_matches_exponent_arithmetic(a, b):
-    u, sat = eval_u(a, b, CFG)
+    u, sat = _u(a, b)
     if a == 0.0:
         assert u == 0.0 and not sat
     else:
@@ -283,7 +288,7 @@ def _oracle_points(field, rng):
     return [AugPoint(theta, a, b) for theta in thetas for a, b in pairs]
 
 
-# sha256 over the float.hex outputs of eval_u, evaluate, gradient, slice_value,
+# sha256 over the float.hex outputs of the core's u, evaluate, gradient, slice_value,
 # the fast closures and probe_infimum at the oracle points, recorded while each
 # route still wrote the augmented formula out by hand, and re-recorded when
 # double-well and ackley got exact zeros (the other fields' bytes held).  The
@@ -316,7 +321,7 @@ def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
                 assert _bits([v, base, u, *g]) == expected, (f.name, p)
                 assert _bits([value_fn(x), *grad_fn(x)]) == _bits([v, *g]), (f.name, p)
                 floored += -1e-9 <= f.raw_value(p.theta) - f.offset < 0.0
-                eu, eu_sat = eval_u(p.a, p.b, cfg)
+                eu, eu_sat = _terms(0.0, p.a, p.b, cfg.lam)[2:]
                 sv, sv_sat = slice_value(ev.base, p.a, p.b, cfg)
                 flags = [ev.saturated, gr.saturated, eu_sat, sv_sat]
                 digest.update(" ".join(expected + _bits([eu, sv]) + [repr(flags)]).encode())

@@ -51,6 +51,29 @@ def test_eval_exit_codes():
     r = run_cli("eval", "--field", "quadratic-1d", "--theta", "1",
                 "--a", "1", "--b", "800")  # default policy errors on saturation
     assert r.returncode == 3
+    # a dash followed by a word is an option, not a value
+    assert run_cli("eval", "--field", "quadratic-1d", "--theta", "1",
+                   "--a", "-x").returncode == 2
+
+
+@pytest.mark.parametrize("args, source, path, want", [
+    (["eval", "--field", "quadratic-1d", "--theta", "1", "--a", "-1e-3", "--b", "0"],
+     None, ["a"], -1e-3),
+    (["eval", "--field", "quadratic-1d", "--theta", "-2.5e-1"], None, ["theta"], [-0.25]),
+    (["contour", "--a-range", "-1e-3", "1e-3", "--resolution", "3", "--out", "{out}"],
+     "contour.json", ["config", "a_range"], [-1e-3, 1e-3]),
+    (["optimize", "--field", "quadratic-1d", "--theta", "1", "--b", "-5E-1",
+      "--max-steps", "3", "--out", "{out}"], None, ["config", "start", "b"], -0.5),
+], ids=["eval-a", "eval-theta", "contour-a-range", "optimize-b"])
+def test_a_negative_number_in_exponent_notation_is_a_value(tmp_path, args, source, path,
+                                                           want):
+    # the argparse of Python 3.11 reads only forms like -12 and -1.5 as numbers
+    r = run_cli(*(arg.format(out=tmp_path) for arg in args))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout if source is None else (tmp_path / source).read_text())
+    for key in path:
+        doc = doc[key]
+    assert doc == want
 
 
 def test_contour_outputs_and_scan_section(tmp_path):

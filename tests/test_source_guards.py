@@ -1,11 +1,13 @@
 """Source guards: the log-space product, the floor slack, the exponent clamp,
 the default of each threshold and the JSON document format are each written
 once; lam, the saturation policy and grad_tol are the core's only settings;
-the channel exit takes its limits from Thresholds alone; the saturation
-policy is applied and the random start is drawn in one function each; no
-field is built by a descent; the finder's closures keep the shapes the
-benchmark's tracer wraps; the optimizer kernel remembers only its last theta;
-and trajectory rows have one append path and no per-step point."""
+the scalar core has one return shape, the finder's grad one path, and augment
+imports nothing from minimize; the channel exit takes its limits from
+Thresholds alone; the saturation policy is applied and the random start is
+drawn in one function each; no field is built by a descent; the finder's
+closures keep the shapes the benchmark's tracer wraps; the optimizer kernel
+remembers only its last theta; and trajectory rows have one append path and
+no per-step point."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -52,6 +54,30 @@ def test_only_lam_policy_and_grad_tol_are_settings():
         assert not [p for p in params if "clamp" in p], name
     assert [name for name, node in _nodes()
             if isinstance(node, ast.Constant) and node.value == 700.0] == ["augment.py"]
+
+
+def test_scalar_core_has_one_shape_and_grad_one_path():
+    # _terms(L, a, b, lam) returns (V, L, u, u_sat) and nothing else; a route
+    # that needs the gradient calls _slopes itself.  The finder's grad takes L
+    # and u from value and adds the one _slopes call
+    terms = _function("augment.py", "_terms")
+    args = terms.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == \
+        ["L", "a", "b", "lam"]
+    assert not (args.defaults or args.vararg or args.kwarg)
+    returns = [node for node in ast.walk(terms) if isinstance(node, ast.Return)]
+    assert returns and all(isinstance(r.value, ast.Tuple) and len(r.value.elts) == 4
+                           for r in returns)
+    fast = _function("augment.py", "fast_value_and_grad")
+    grad = next(node for node in fast.body
+                if isinstance(node, ast.FunctionDef) and node.name == "grad")
+    assert sum(_calls(node, "_slopes") for node in ast.walk(grad)) == 1
+    assert not any(_calls(node, "_terms") for node in ast.walk(grad))
+    # the core sits under the descent, not on it
+    tree = ast.parse((SRC / "augment.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not [line for line in imports if "minimize" in line]
 
 
 def _defaults(owner):
