@@ -320,11 +320,11 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -1e-3 and -2E1 as negative numbers, not as
+    """An ArgumentParser that reads -1e-3, -2E1, -inf and -nan as values, not as
     options: the pattern of argparse in Python 3.11 knows only -12 and -1.5.
     Subparsers are built from the same class."""
 

@@ -110,24 +110,48 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
     """Smallest augmented value reachable over (a, b) at fixed theta.
 
     Along a = exp(-b) the product a*exp(b) stays at 1 and the augmented loss
-    collapses to L + lam*exp(-2b), which decays to L as b grows; the probe
-    samples that curve at 257 points up to ``b_max`` of :class:`Thresholds`,
-    includes the a=0 point (exact when L = 0), then polishes with an 80-step
-    (a, b) descent.  The result always lies in [L, L + lam*exp(-2*b_max)] up
-    to rounding.
+    collapses to L + lam*exp(-2b), which decays to L as b grows.  The probe
+    takes the a=0 point (exact when L = 0) and the best of the curve's points
+    b_i = b_max*i/256, i = 0..256, with ``b_max`` of :class:`Thresholds`, then
+    polishes with an 80-step (a, b) descent.  The result always lies in
+    [L, L + lam*exp(-2*b_max)] up to rounding.
+
+    Two floating-point facts make this O(log 257) evaluations:
+
+    - The curve never rises: at every b_i, |u - 1| < 1e-8, so 1 + (u - 1)^2
+      rounds to 1 and V_i = fl(L + lam*a_i^2) never rises as a_i falls.  Its
+      best point is the first i with V_i == V_256, found by bisection.
+    - V >= L for every value: 1 + (u - 1)^2 >= 1, lam*a^2 >= 0 and rounding
+      is monotone.  So a curve that reads exactly L (or L = 0) ends the
+      probe, since no descent can go below it.
     """
     cfg = cfg or AugConfig()
     b_max = Thresholds().b_max
     base = field.value(theta)
+
+    def curve(i):
+        b = b_max * (i / 256)
+        return math.exp(-b), b
+
+    def on_curve(i):
+        return slice_value(base, *curve(i), cfg)[0]
+
     best = base + base if base > 0.0 else 0.0  # a = 0 candidate: exactly 2L
     best_ab = (0.0, 0.0)
-    for i in range(257):
-        b = b_max * (i / 256)
-        a = math.exp(-b)
-        v, _ = slice_value(base, a, b, cfg)
-        if v < best:
-            best = v
-            best_ab = (a, b)
+    first = on_curve(0)  # the curve's largest value: where any overflow shows first
+    last = on_curve(256)
+    if last < best:
+        lo = 0
+        hi = 0 if first == last else 256  # V_hi == last, and V_lo > last while hi > lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if on_curve(mid) == last:
+                hi = mid
+            else:
+                lo = mid
+        best, best_ab = last, curve(hi)
+    if best == base:
+        return best
 
     def value_fn(ab):
         return slice_value(base, ab[0], ab[1], cfg)[0]

@@ -76,6 +76,23 @@ def test_a_negative_number_in_exponent_notation_is_a_value(tmp_path, args, sourc
     assert doc == want
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--field", "quadratic-1d", "--theta", "1", "--a", "-inf"],
+     "non-finite augmented point ((1.0,), -inf, 0.0)"),
+    (["eval", "--field", "quadratic-1d", "--theta", "1", "--b", "-nan"],
+     "non-finite augmented point ((1.0,), 0.0, nan)"),
+    (["eval", "--field", "quadratic-1d", "--theta", "1", "--b", "-Infinity"],
+     "non-finite augmented point ((1.0,), 0.0, -inf)"),
+    (["contour", "--svg", "--levels", "-inf", "inf", "--out", "{out}"],
+     "--levels must be finite, got [-inf, inf]"),
+], ids=["eval-a-inf", "eval-b-nan", "eval-b-infinity", "contour-levels"])
+def test_a_negative_non_finite_value_reaches_the_finite_check(tmp_path, capsys, argv, message):
+    # -inf, -infinity and -nan parse as values, not options, so the command's
+    # own finite check rejects them rather than argparse
+    assert cli.main([arg.format(out=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_contour_outputs_and_scan_section(tmp_path):
     out = tmp_path / "c"
     r = run_cli("contour", "--l-slice", "1", "--out", str(out), "--svg")

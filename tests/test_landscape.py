@@ -5,16 +5,20 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minfinity import (AugConfig, ContourGrid, Thresholds, cli,
                        field_names, find_critical_points, get_field, gradient, landscape,
                        probe_infimum, sample_contour, stationarity_scan, verify)
-from minfinity.augment import POLICY_ERROR, POLICY_SATURATE, fast_value_and_grad
+from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, SaturationError, _slopes,
+                               _terms, fast_value_and_grad, slice_value)
 from minfinity.minimize import _clip, descend
 from minfinity.svgplot import default_levels, render_svg
 from test_optimize import _counting
 
 CFG = AugConfig()
+ERR_CFG = AugConfig(saturation_policy=POLICY_ERROR)
 
 
 # --- critical points ---------------------------------------------------------
@@ -311,6 +315,129 @@ def test_probe_on_seeded_points():
             base = field.value(theta)
             probe = probe_infimum(field, theta, CFG)
             assert base - 1e-12 <= probe <= base + 1e-3
+
+
+def _curve():
+    # the probe's curve a = exp(-b) at b = b_max*i/256, i = 0..256
+    b_max = Thresholds().b_max
+    return [(math.exp(-b), b) for b in (b_max * (i / 256) for i in range(257))]
+
+
+def _probe_by_scan(field, theta, cfg):
+    """The probe as a full scan of its curve, then the 80-step descent from the
+    scan's best point: the reference the bisection must match bit for bit."""
+    b_max = Thresholds().b_max
+    base = field.value(theta)
+    best = base + base if base > 0.0 else 0.0
+    best_ab = (0.0, 0.0)
+    for a, b in _curve():
+        v, _ = slice_value(base, a, b, cfg)
+        if v < best:
+            best = v
+            best_ab = (a, b)
+
+    def value_fn(ab):
+        return slice_value(base, ab[0], ab[1], cfg)[0]
+
+    def grad_fn(ab):
+        a, b = ab
+        _, L, u, _ = _terms(base, a, b, cfg.lam)
+        return _slopes(L, a, b, u, cfg.lam, ())[0]
+
+    res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
+                  max_iters=80, polish_iters=0,
+                  escape=lambda x, v, g: abs(x[1]) > b_max + landscape.B_ESCAPE_MARGIN)
+    return min(best, res.value)
+
+
+def _fixed_loss_field(L):
+    return replace(get_field("quadratic-1d"), raw_value=lambda t: L)
+
+
+_PROBE_LOSSES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-30, 1.0, 1e300]),
+    st.floats(0.03, 0.05),  # where lam*exp(-40) stops rounding away against L
+    st.floats(0.0, 25.0),
+    st.floats(0.0, 1e300))
+_PROBE_LAMBDAS = st.one_of(
+    st.sampled_from([1e-300, 1e-12, 0.3, 1.0, 7.0, 1e6, 1e300]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=_PROBE_LOSSES, lam=_PROBE_LAMBDAS,
+       policy=st.sampled_from([POLICY_SATURATE, POLICY_ERROR]))
+def test_probe_matches_the_full_scan_bitwise(L, lam, policy):
+    field = _fixed_loss_field(L)
+    cfg = AugConfig(lam=lam, saturation_policy=policy)
+    got = probe_infimum(field, (0.5,), cfg)
+    assert got.hex() == _probe_by_scan(field, (0.5,), cfg).hex()
+
+
+def test_probe_returns_L_where_the_full_scan_raised_on_a_futile_step():
+    # at L = 5e307 the descent's first trial step (a = -1) overflows to 5L, and
+    # under the error policy that step raised; the probe now stops at L first
+    field = _fixed_loss_field(5e307)
+    with pytest.raises(SaturationError):
+        _probe_by_scan(field, (0.5,), ERR_CFG)
+    assert probe_infimum(field, (0.5,), ERR_CFG) == 5e307
+
+
+def test_the_probe_curve_never_rises():
+    # the u of every curve point rounds 1 + (u - 1)^2 to 1, whatever L and lam,
+    # and a falls along the curve
+    curve = _curve()
+    for a, b in curve:
+        u = _terms(0.0, a, b, 1.0)[2]
+        assert 1.0 + (u - 1.0) ** 2 == 1.0, b
+    assert all(a1 >= a2 for (a1, _), (a2, _) in zip(curve, curve[1:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(L=st.floats(min_value=0.0, allow_infinity=False),
+       a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False),
+       lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_an_augmented_value_never_reads_below_L(L, a, b, lam):
+    v = _terms(L, a, b, lam)[0]
+    assert v >= L
+
+
+def _probe_calls(monkeypatch, field, theta):
+    """slice_value calls the probe makes before any descent, and its descents."""
+    calls = {"slice_value": 0, "descend": 0}
+    real_slice, real_descend = landscape.slice_value, landscape.descend
+
+    def counted_slice(*args):
+        calls["slice_value"] += 1
+        return real_slice(*args)
+
+    def counted_descend(*args, **kwargs):
+        calls["descend"] += 1
+        calls["slice_value_before_descend"] = calls["slice_value"]
+        return real_descend(*args, **kwargs)
+
+    monkeypatch.setattr(landscape, "slice_value", counted_slice)
+    monkeypatch.setattr(landscape, "descend", counted_descend)
+    probe_infimum(field, theta, CFG)
+    return calls
+
+
+@pytest.mark.parametrize("name, theta", [
+    ("rastrigin-1d", get_field("rastrigin-1d").bad_minima[0].point),
+    ("quadratic-1d", (0.0,)),
+], ids=["bad-minimum", "zero-loss"])
+def test_a_probe_whose_curve_reaches_L_bisects_and_never_descends(monkeypatch, name, theta):
+    calls = _probe_calls(monkeypatch, get_field(name), theta)
+    assert calls["slice_value"] <= 10
+    assert calls["descend"] == 0
+
+
+def test_a_probe_above_its_curve_floor_still_descends(monkeypatch):
+    # at L = 1e-30, lam*exp(-40) does not round away, so the curve never reads L
+    calls = _probe_calls(monkeypatch, get_field("quadratic-1d"), (1e-15,))
+    assert calls["descend"] == 1
+    assert calls["slice_value_before_descend"] <= 10
 
 
 # --- contour grids -----------------------------------------------------------
