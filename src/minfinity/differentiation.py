@@ -140,12 +140,22 @@ def fd_gradient(f: Callable[[Sequence[float]], float], x: Sequence[float]) -> li
 
 def dual_gradient(f: Callable[[Sequence[Dual]], "Dual | float"],
                   x: Sequence[float]) -> list[float]:
-    """Exact gradient via one forward pass per coordinate (unit tangents)."""
+    """Exact gradient via one forward pass per coordinate (unit tangents).
+
+    Pass ``i`` seeds only coordinate ``i``, as ``Dual(x[i], 1.0)``; the others
+    stay floats, so ``f`` must accept floats and Duals mixed.  Wherever a
+    float meets a Dual, :func:`_lift` makes it ``Dual(c, 0.0)``, the seed an
+    unseeded coordinate would carry anyway; only operations among unseeded
+    coordinates change, to plain floats without a zero tangent.  On every
+    shipped field's lifted loss the gradient is bitwise that of seeding all
+    coordinates (the reference test in tests/test_differentiation.py).  A
+    result that is no Dual reads as a zero derivative.
+    """
     x = list(x)
-    n = len(x)
     grad = []
-    for i in range(n):
-        coords = [Dual(x[j], 1.0 if j == i else 0.0) for j in range(n)]
+    for i, xi in enumerate(x):
+        coords = list(x)
+        coords[i] = Dual(xi, 1.0)
         out = f(coords)
         grad.append(out.tangent if isinstance(out, Dual) else 0.0)
     return grad

@@ -1,5 +1,6 @@
 """Dual-number arithmetic laws and the two derivative oracles."""
 import hashlib
+import itertools
 import math
 import random
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfinity import AugConfig, AugPoint, augment, evaluate, field_names, get_field, gradient
+from minfinity import (AugConfig, AugPoint, augment, cli, evaluate, field_names, get_field,
+                       gradient, verify)
 from minfinity.augment import AugGradient, lifted_loss
+from minfinity.fields import ScalarField
 from minfinity.landscape import random_start
 from minfinity.verify import FD_TOL, grad_check_suite
 from minfinity.differentiation import Dual, dual_gradient, fd_gradient
@@ -114,6 +117,54 @@ def test_dual_constant_function():
     assert dual_gradient(lambda c: 7.5, [1.0, 2.0]) == [0.0, 0.0]
 
 
+def _dual_gradient_all_seeded(f, x):
+    """The reference oracle: every coordinate a Dual in every pass, tangent 1
+    on the coordinate of the pass and 0 on the others."""
+    x = list(x)
+    n = len(x)
+    grad = []
+    for i in range(n):
+        out = f([Dual(x[j], 1.0 if j == i else 0.0) for j in range(n)])
+        grad.append(out.tangent if isinstance(out, Dual) else 0.0)
+    return grad
+
+
+def _edge_points(field):
+    """Global and bad minima, box corners and signed zeros in theta, each with
+    a and b at signed zeros and at the ends of their ranges."""
+    thetas = [field.global_min, *(m.point for m in field.bad_minima)]
+    thetas += itertools.product(*zip(field.lower, field.upper))
+    thetas += itertools.product((0.0, -0.0), repeat=field.dim)
+    for theta in thetas:
+        for a in (0.0, -0.0, 1e-3, -0.5, 1.0):
+            for b in (-700.0, -30.0, -0.0, 0.0, 0.5, 20.0):
+                yield [*theta, a, b]
+
+
+def test_one_seeded_dual_per_pass_matches_seeding_every_coordinate_bitwise():
+    # seeding only the coordinate of the pass leaves the others floats; every
+    # float that meets a Dual is lifted with a zero tangent, so the lifted
+    # losses of all fields get the same bits as the all-Dual reference
+    for name in field_names():
+        field = get_field(name)
+        lifted = lifted_loss(field, AugConfig().lam)
+        points = list(_edge_points(field))
+        for seed in (1, 2, 3, 5, 2025):
+            rng = random.Random(seed)
+            points += [random_start(field, rng, 1e-3).coords() for _ in range(200)]
+        for x in points:
+            got = list(map(float.hex, dual_gradient(lifted, x)))
+            assert got == list(map(float.hex, _dual_gradient_all_seeded(lifted, x))), (name, x)
+
+
+def test_dual_gradient_of_an_ignored_coordinate_is_zero():
+    # the pass that seeds x1 sees no Dual in f's arithmetic: its result is a
+    # float and the component reads +0.0 (the all-Dual route carried
+    # -3 * 0 + 0 * -3 = -0.0 there)
+    g = dual_gradient(lambda c: c[0] * c[0], [-3.0, 2.0])
+    assert list(map(float.hex, g)) == [(-6.0).hex(), (0.0).hex()]
+
+
 def test_dual_augmented_loss_where_u_is_one():
     # u = 1 kills both (u-1) factors: d/da = 2*lam*a = 1, d/db = 0
     field = get_field("quadratic-1d")
@@ -182,6 +233,51 @@ def test_grad_check_flags_a_gradient_off_by_1e_5(monkeypatch):
     out = grad_check_suite(seed=108, fields=["quadratic-2d"])
     assert out["checks"][0]["points"] == 1000
     assert out["violations_total"] == 7989
+
+
+def test_grad_check_evaluates_the_base_loss_once_per_stencil_theta(monkeypatch):
+    # per sample: one L for the analytic gradient, two per theta coordinate
+    # for the stencil, and one for the a and b stencil points, which share
+    # the sample's theta
+    calls = {"value": 0}
+    value = ScalarField.value
+
+    def counted(self, theta, check_domain=True):
+        calls["value"] += 1
+        return value(self, theta, check_domain)
+
+    monkeypatch.setattr(ScalarField, "value", counted)
+    for name in field_names():
+        calls["value"] = 0
+        (check,) = grad_check_suite(seed=1, n_points=50, fields=[name])["checks"]
+        assert check["points"] == 50
+        assert calls["value"] == 50 * (2 * get_field(name).dim + 2)
+
+
+def test_grad_check_report_is_pinned():
+    # sha256 of the report text, recorded while each stencil point built an
+    # AugPoint and called augment.evaluate
+    text = cli._json(grad_check_suite(seed=1, n_points=64))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3e536cc9f006b054467925ff96eef2e27da1c7c709293ae6517a7a14c4e49728"
+
+
+@pytest.mark.parametrize("oracle", ["dual_gradient", "fd_gradient"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_oracle_is_a_violation(monkeypatch, oracle, bad):
+    # every comparison against NaN or inf reads NaN; max() and "> tol" would
+    # both pass it over and report a clean check
+    def broken(f, x):
+        f(x)  # the suite meters |V| at each point its stencil evaluates
+        return [bad] * len(x)
+
+    monkeypatch.setattr(verify, oracle, broken)
+    out = grad_check_suite(seed=1, n_points=5, fields=["quadratic-1d"])
+    (check,) = out["checks"]
+    worst = "worst_dual_rel_err" if oracle == "dual_gradient" else "worst_fd_rel_err"
+    assert check["points"] == 5
+    assert check["violations"] == out["violations_total"] == 5 * 3
+    assert check[worst] == math.inf
 
 
 # --- the Dual contract ------------------------------------------------------

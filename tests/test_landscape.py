@@ -305,6 +305,14 @@ def test_probe_insensitive_to_large_lambda():
     assert abs(probe - 1.0) <= 1e-3
 
 
+def test_a_nan_probe_is_an_infimum_violation(monkeypatch):
+    # |NaN - L| is NaN: "> tol" and max() would both pass it over
+    monkeypatch.setattr(landscape, "probe_infimum", lambda field, theta, cfg: math.nan)
+    (check,) = verify.infimum_suite(seed=1, n_points=5, fields=["quadratic-1d"])["checks"]
+    assert check["violations"] == 5
+    assert check["worst_deviation"] == math.inf
+
+
 def test_probe_on_seeded_points():
     import random
     rng = random.Random(4)
