@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import (AugConfig, AugPoint, Thresholds, _slopes, _terms,
-                      fast_value_and_grad, slice_value)
+from .augment import (AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
+                      slice_value)
 from .fields import ScalarField
 from .minimize import descend
 
@@ -111,60 +111,16 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
 
     Along a = exp(-b) the product a*exp(b) stays at 1 and the augmented loss
     collapses to L + lam*exp(-2b), which decays to L as b grows.  The probe
-    takes the a=0 point (exact when L = 0) and the best of the curve's points
-    b_i = b_max*i/256, i = 0..256, with ``b_max`` of :class:`Thresholds`, then
-    polishes with an 80-step (a, b) descent.  The result always lies in
-    [L, L + lam*exp(-2*b_max)] up to rounding.
-
-    Two floating-point facts make this O(log 257) evaluations:
-
-    - The curve never rises: at every b_i, |u - 1| < 1e-8, so 1 + (u - 1)^2
-      rounds to 1 and V_i = fl(L + lam*a_i^2) never rises as a_i falls.  Its
-      best point is the first i with V_i == V_256, found by bisection.
-    - V >= L for every value: 1 + (u - 1)^2 >= 1, lam*a^2 >= 0 and rounding
-      is monotone.  So a curve that reads exactly L (or L = 0) ends the
-      probe, since no descent can go below it.
+    returns the smaller of the a=0 value (exactly 2L, and 0 when L = 0) and
+    the curve's end at b = ``b_max`` of :class:`Thresholds`.  The result lies
+    in [L, fl(L + lam*exp(-2*b_max))] and is at most 2L.
     """
     cfg = cfg or AugConfig()
     b_max = Thresholds().b_max
     base = field.value(theta)
-
-    def curve(i):
-        b = b_max * (i / 256)
-        return math.exp(-b), b
-
-    def on_curve(i):
-        return slice_value(base, *curve(i), cfg)[0]
-
-    best = base + base if base > 0.0 else 0.0  # a = 0 candidate: exactly 2L
-    best_ab = (0.0, 0.0)
-    first = on_curve(0)  # the curve's largest value: where any overflow shows first
-    last = on_curve(256)
-    if last < best:
-        lo = 0
-        hi = 0 if first == last else 256  # V_hi == last, and V_lo > last while hi > lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if on_curve(mid) == last:
-                hi = mid
-            else:
-                lo = mid
-        best, best_ab = last, curve(hi)
-    if best == base:
-        return best
-
-    def value_fn(ab):
-        return slice_value(base, ab[0], ab[1], cfg)[0]
-
-    def grad_fn(ab):
-        a, b = ab
-        _, L, u, _ = _terms(base, a, b, cfg.lam)
-        return _slopes(L, a, b, u, cfg.lam, ())[0]  # [dV/da, dV/db]
-
-    res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
-                  max_iters=80, polish_iters=0,
-                  escape=lambda x, v, g: abs(x[1]) > b_max + B_ESCAPE_MARGIN)
-    return min(best, res.value)
+    slice_value(base, 1.0, 0.0, cfg)  # the curve's top, L + lam: where an overflow raises
+    end = slice_value(base, math.exp(-b_max), b_max, cfg)[0]
+    return min(base + base if base > 0.0 else 0.0, end)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Damped gradient descent with backtracking, shared by the critical-point
-finder, the infimum probe and normalization.
+finder and normalization.
 
 Phase 1 backtracks from a carried step until an Armijo sufficient-decrease
 test passes, with the displacement norm capped (no teleporting across the

@@ -44,8 +44,9 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError("step_size must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        # nan or inf would never end the loop, and 2.5 or True would pass for a count
+        if not (type(self.max_steps) is int and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
         # a decay of 1 never forgets (momentum) or divides by 1 - 1 (Adam's
         # bias correction); nan fails every comparison, so it lands here too
         for name in ("momentum", "beta1", "beta2"):

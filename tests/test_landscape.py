@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from minfinity import (AugConfig, ContourGrid, Thresholds, cli,
                        field_names, find_critical_points, get_field, gradient, landscape,
                        probe_infimum, sample_contour, stationarity_scan, verify)
-from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, SaturationError, _slopes,
-                               _terms, fast_value_and_grad, slice_value)
+from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, SaturationError, _terms,
+                               fast_value_and_grad, slice_value)
 from minfinity.minimize import _clip, descend
 from minfinity.svgplot import default_levels, render_svg
 from test_optimize import _counting
@@ -332,30 +332,15 @@ def _curve():
 
 
 def _probe_by_scan(field, theta, cfg):
-    """The probe as a full scan of its curve, then the 80-step descent from the
-    scan's best point: the reference the bisection must match bit for bit."""
-    b_max = Thresholds().b_max
+    """The best of the a=0 value and the probe's whole curve, scanned point by
+    point: the reference the probe must match bit for bit."""
     base = field.value(theta)
     best = base + base if base > 0.0 else 0.0
-    best_ab = (0.0, 0.0)
     for a, b in _curve():
         v, _ = slice_value(base, a, b, cfg)
         if v < best:
             best = v
-            best_ab = (a, b)
-
-    def value_fn(ab):
-        return slice_value(base, ab[0], ab[1], cfg)[0]
-
-    def grad_fn(ab):
-        a, b = ab
-        _, L, u, _ = _terms(base, a, b, cfg.lam)
-        return _slopes(L, a, b, u, cfg.lam, ())[0]
-
-    res = descend(value_fn, grad_fn, list(best_ab), grad_tol=0.0,
-                  max_iters=80, polish_iters=0,
-                  escape=lambda x, v, g: abs(x[1]) > b_max + landscape.B_ESCAPE_MARGIN)
-    return min(best, res.value)
+    return best
 
 
 def _fixed_loss_field(L):
@@ -382,13 +367,27 @@ def test_probe_matches_the_full_scan_bitwise(L, lam, policy):
     assert got.hex() == _probe_by_scan(field, (0.5,), cfg).hex()
 
 
-def test_probe_returns_L_where_the_full_scan_raised_on_a_futile_step():
-    # at L = 5e307 the descent's first trial step (a = -1) overflows to 5L, and
-    # under the error policy that step raised; the probe now stops at L first
+def test_probe_returns_L_at_5e307_under_the_error_policy():
+    # a step to a = -1 would overflow to 5L; the probe reads only its curve
     field = _fixed_loss_field(5e307)
-    with pytest.raises(SaturationError):
-        _probe_by_scan(field, (0.5,), ERR_CFG)
     assert probe_infimum(field, (0.5,), ERR_CFG) == 5e307
+
+
+def test_probe_overflow_shows_at_the_curve_start():
+    # L + lam overflows at a = 1, b = 0 though the curve's end, L + lam*exp(-40),
+    # is finite: the error policy raises there, and saturate reads the end
+    field = _fixed_loss_field(1e308)
+    with pytest.raises(SaturationError, match="slice value overflow at a=1.0 b=0.0"):
+        probe_infimum(field, (0.5,), AugConfig(lam=1e308, saturation_policy=POLICY_ERROR))
+    assert probe_infimum(field, (0.5,), AugConfig(lam=1e308)) == 1e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.one_of(_PROBE_LOSSES, st.floats(0.0, 1.7976931348623157e308)), lam=_PROBE_LAMBDAS)
+def test_probe_lies_between_L_and_the_curve_end_and_at_most_2L(L, lam):
+    a = math.exp(-Thresholds().b_max)
+    probe = probe_infimum(_fixed_loss_field(L), (0.5,), AugConfig(lam=lam))
+    assert L <= probe <= min(L + L, L + lam * a * a)
 
 
 def test_the_probe_curve_never_rises():
@@ -411,22 +410,17 @@ def test_an_augmented_value_never_reads_below_L(L, a, b, lam):
     assert v >= L
 
 
-def _probe_calls(monkeypatch, field, theta):
-    """slice_value calls the probe makes before any descent, and its descents."""
-    calls = {"slice_value": 0, "descend": 0}
-    real_slice, real_descend = landscape.slice_value, landscape.descend
+def _slice_value_calls(monkeypatch, field, theta):
+    """slice_value calls the probe makes."""
+    calls = 0
+    real_slice = landscape.slice_value
 
     def counted_slice(*args):
-        calls["slice_value"] += 1
+        nonlocal calls
+        calls += 1
         return real_slice(*args)
 
-    def counted_descend(*args, **kwargs):
-        calls["descend"] += 1
-        calls["slice_value_before_descend"] = calls["slice_value"]
-        return real_descend(*args, **kwargs)
-
     monkeypatch.setattr(landscape, "slice_value", counted_slice)
-    monkeypatch.setattr(landscape, "descend", counted_descend)
     probe_infimum(field, theta, CFG)
     return calls
 
@@ -434,18 +428,10 @@ def _probe_calls(monkeypatch, field, theta):
 @pytest.mark.parametrize("name, theta", [
     ("rastrigin-1d", get_field("rastrigin-1d").bad_minima[0].point),
     ("quadratic-1d", (0.0,)),
-], ids=["bad-minimum", "zero-loss"])
-def test_a_probe_whose_curve_reaches_L_bisects_and_never_descends(monkeypatch, name, theta):
-    calls = _probe_calls(monkeypatch, get_field(name), theta)
-    assert calls["slice_value"] <= 10
-    assert calls["descend"] == 0
-
-
-def test_a_probe_above_its_curve_floor_still_descends(monkeypatch):
-    # at L = 1e-30, lam*exp(-40) does not round away, so the curve never reads L
-    calls = _probe_calls(monkeypatch, get_field("quadratic-1d"), (1e-15,))
-    assert calls["descend"] == 1
-    assert calls["slice_value_before_descend"] <= 10
+    ("quadratic-1d", (1e-15,)),  # L = 1e-30: lam*exp(-40) does not round away
+], ids=["bad-minimum", "zero-loss", "above-curve-floor"])
+def test_a_probe_reads_two_curve_points(monkeypatch, name, theta):
+    assert _slice_value_calls(monkeypatch, get_field(name), theta) == 2
 
 
 # --- contour grids -----------------------------------------------------------

@@ -288,8 +288,11 @@ def test_spec_validation():
         OptimizerSpec(kind="newton", step_size=0.1, max_steps=10)
     with pytest.raises(ValueError):
         OptimizerSpec(kind="gd", step_size=-0.1, max_steps=10)
-    with pytest.raises(ValueError):
-        OptimizerSpec(kind="gd", step_size=0.1, max_steps=0)
+    # nan and inf never satisfy step >= max_steps, so a run would not stop;
+    # a fraction or a bool is no step count
+    for bad in (0, math.nan, math.inf, 2.5, True):
+        with pytest.raises(ValueError, match="max_steps"):
+            OptimizerSpec(kind="gd", step_size=0.1, max_steps=bad)
     assert Thresholds().b_max == 20.0
 
 

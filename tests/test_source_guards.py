@@ -110,7 +110,7 @@ def test_threshold_defaults_are_written_once():
                              ("minimize.py", "descend", "grad_tol")]
     calls = [node for _, node in _nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "descend"]
-    assert len(calls) == 3 and all(any(k.arg == "grad_tol" for k in c.keywords) for c in calls)
+    assert len(calls) == 2 and all(any(k.arg == "grad_tol" for k in c.keywords) for c in calls)
 
 
 def _calls(node, name: str) -> bool:
@@ -189,6 +189,15 @@ def test_no_field_is_built_by_a_descent():
     inside = sum(_calls(node, "descend") for node in ast.walk(normalize))
     assert inside >= 1 and sum(_calls(node, "descend") for node in ast.walk(tree)) == inside
     assert [name for name, node in _nodes() if _calls(node, "normalize")] == []
+
+
+def test_the_infimum_probe_runs_no_descent():
+    # the probe reads the ends of its curve; landscape's only descent is the finder's
+    probe = _function("landscape.py", "probe_infimum")
+    assert not any(_calls(node, "descend") for node in ast.walk(probe))
+    imported = [alias.name for node in ast.walk(ast.parse((SRC / "landscape.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "descend" in imported and "_slopes" not in imported
 
 
 def _is_indented_dumps(node) -> bool:
