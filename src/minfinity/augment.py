@@ -210,30 +210,28 @@ def _saturate(cfg: AugConfig, route: str, a: float, b: float, u_sat: bool,
     raise SaturationError(f"{why} at a={a!r} b={b!r}")
 
 
-def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig,
-             check_domain: bool = True) -> AugEval:
-    """Augmented loss at ``point``; always >= base loss, >= 0."""
-    base = field.value(point.theta, check_domain=check_domain)
+def evaluate(field: ScalarField, point: AugPoint, cfg: AugConfig) -> AugEval:
+    """Augmented loss at ``point``; always >= base loss, >= 0.  ``point.theta`` must
+    lie in the field's closed box, else DimensionError, NonFiniteError or DomainError."""
+    base = field.value(point.theta)
     value, base, u, saturated = _terms(base, point.a, point.b, cfg.lam)
     if saturated or not math.isfinite(value):
         saturated = _saturate(cfg, "augmented value", point.a, point.b, saturated)
     return AugEval(value, base, u, saturated)
 
 
-def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig,
-             check_domain: bool = True) -> AugGradient:
-    """Analytic gradient; finite in all components unless flagged saturated."""
-    base = field.value(point.theta, check_domain=check_domain)
-    grad_base = field.gradient(point.theta, check_domain=check_domain)
+def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig) -> AugGradient:
+    """Analytic gradient; finite in all components unless flagged saturated.
+    ``point.theta`` must lie in the field's closed box, else DimensionError,
+    NonFiniteError or DomainError."""
+    base = field.value(point.theta)
+    grad_base = field.gradient(point.theta)
     _, base, u, u_sat = _terms(base, point.a, point.b, cfg.lam)
     grad, b_sat = _slopes(base, point.a, point.b, u, cfg.lam, grad_base)
     saturated = u_sat or b_sat or not all(map(math.isfinite, grad))
     if saturated:
         _saturate(cfg, "gradient", point.a, point.b, u_sat, b_sat)
-    d_b = grad.pop()
-    d_a = grad.pop()
-    d_theta = tuple(grad)
-    return AugGradient(d_theta, d_a, d_b, saturated)
+    return AugGradient(tuple(grad[:-2]), grad[-2], grad[-1], saturated)
 
 
 def slice_value(l_slice: float, a: float, b: float, cfg: AugConfig) -> tuple[float, bool]:

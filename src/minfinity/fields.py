@@ -70,21 +70,23 @@ class ScalarField:
     global_min: tuple[float, ...] | None = None
     bad_minima: tuple[BadMinimum, ...] = ()
 
-    def _check(self, theta: Sequence[float], check_domain: bool) -> tuple[float, ...]:
-        theta = tuple(float(t) for t in theta)
+    def _check(self, theta: Sequence[float]) -> tuple[float, ...]:
+        theta = tuple(map(float, theta))
         if len(theta) != self.dim:
             raise DimensionError(
                 f"{self.name}: expected {self.dim} coordinates, got {len(theta)}")
-        if not all(math.isfinite(t) for t in theta):
+        if not all(map(math.isfinite, theta)):
             raise NonFiniteError(f"{self.name}: non-finite coordinate in {theta}")
-        if check_domain and not self.contains(theta):
+        if not self.contains(theta):
             raise DomainError(
                 f"{self.name}: {theta} outside domain box {self.lower}..{self.upper}")
         return theta
 
-    def value(self, theta: Sequence[float], check_domain: bool = True) -> float:
-        """L(theta) >= 0; negatives within FLOOR_SLACK clamp to 0."""
-        theta = self._check(theta, check_domain)
+    def value(self, theta: Sequence[float]) -> float:
+        """L(theta) >= 0; negatives within FLOOR_SLACK clamp to 0.  ``theta``
+        must hold ``dim`` finite coordinates in the closed box, else
+        DimensionError, NonFiniteError or DomainError, tested in that order."""
+        theta = self._check(theta)
         v = self.raw_value(theta) - self.offset
         if not math.isfinite(v):
             raise NonFiniteError(f"{self.name}: non-finite value at {theta}")
@@ -95,15 +97,20 @@ class ScalarField:
             return 0.0
         return v
 
-    def gradient(self, theta: Sequence[float], check_domain: bool = True) -> tuple[float, ...]:
-        theta = self._check(theta, check_domain)
+    def gradient(self, theta: Sequence[float]) -> tuple[float, ...]:
+        """grad L(theta), ``theta`` in the closed box (else DimensionError,
+        NonFiniteError or DomainError); NonFiniteError for a non-finite component."""
+        theta = self._check(theta)
         g = tuple(self.raw_gradient(theta))
-        if not all(math.isfinite(c) for c in g):
+        if not all(map(math.isfinite, g)):
             raise NonFiniteError(f"{self.name}: non-finite gradient at {theta}")
         return g
 
     def contains(self, theta: Sequence[float]) -> bool:
-        return all(lo <= t <= hi for t, lo, hi in zip(theta, self.lower, self.upper))
+        for t, lo, hi in zip(theta, self.lower, self.upper):
+            if not lo <= t <= hi:
+                return False
+        return True
 
     def clamp(self, theta: Sequence[float]) -> tuple[tuple[float, ...], bool]:
         """Project onto the domain box; second element reports whether anything moved."""

@@ -92,7 +92,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             clamp_upper=field.upper,
         )
         point = AugPoint(tuple(res.x[:field.dim]), res.x[field.dim], res.x[field.dim + 1])
-        base_loss = field.value(point.theta, check_domain=False)
+        base_loss = field.value(point.theta)  # descend clipped theta into the box
         converged = res.converged and thr.certifies(res.grad_norm, base_loss, point.b)
         reports.append(CriticalPointReport(
             point=point,

@@ -184,8 +184,7 @@ def test_three_way_agreement(name):
 
     def flat(x):
         return evaluate(field, AugPoint(tuple(x[:field.dim]), x[field.dim],
-                                        x[field.dim + 1]), cfg,
-                        check_domain=False).value
+                                        x[field.dim + 1]), cfg).value
 
     for _ in range(200):
         theta = field.interior_sample(rng)
@@ -224,8 +223,8 @@ def test_grad_check_flags_a_gradient_off_by_1e_5(monkeypatch):
     # where 1e-5 of the component is inside FD_TOL
     exact = augment.gradient
 
-    def off(field, point, cfg, check_domain=True):
-        g = exact(field, point, cfg, check_domain)
+    def off(field, point, cfg):
+        g = exact(field, point, cfg)
         k = 1.0 + 1e-5
         return AugGradient(tuple(c * k for c in g.d_theta), g.d_a * k, g.d_b * k, g.saturated)
 
@@ -242,9 +241,9 @@ def test_grad_check_evaluates_the_base_loss_once_per_stencil_theta(monkeypatch):
     calls = {"value": 0}
     value = ScalarField.value
 
-    def counted(self, theta, check_domain=True):
+    def counted(self, theta):
         calls["value"] += 1
-        return value(self, theta, check_domain)
+        return value(self, theta)
 
     monkeypatch.setattr(ScalarField, "value", counted)
     for name in field_names():

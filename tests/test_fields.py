@@ -1,12 +1,15 @@
 """Field registry: values, gradients, normalization, domain handling."""
 import hashlib
+import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from minfinity import (DimensionError, DomainError, NormalizationError,
-                       field_names, get_field, normalize, zero_min_field_names)
+from minfinity import (AugConfig, DimensionError, DomainError, FieldError, NonFiniteError,
+                       NormalizationError, augment, field_names, get_field, normalize,
+                       zero_min_field_names)
 from minfinity.differentiation import Dual, fd_gradient
 from minfinity.fields import (DOUBLE_WELL_GLOBAL_X, DOUBLE_WELL_OFFSET,
                               RASTRIGIN_BAD_VALUE, RASTRIGIN_BAD_X)
@@ -121,7 +124,7 @@ def test_gradient_matches_central_differences(name):
     for _ in range(1000):
         theta = field.interior_sample(rng)
         analytic = field.gradient(theta)
-        fd = fd_gradient(lambda x, f=field: f.value(tuple(x), check_domain=False), list(theta))
+        fd = fd_gradient(lambda x, f=field: f.value(tuple(x)), list(theta))
         for ga, gf in zip(analytic, fd):
             worst = max(worst, abs(ga - gf) / max(1.0, abs(ga), abs(gf)))
     assert worst <= 1e-6
@@ -192,8 +195,94 @@ def test_outside_domain_raises():
         get_field("rastrigin-1d").value((6.0,))
 
 
-def test_domain_check_can_be_skipped():
-    assert get_field("rastrigin-1d").value((6.0,), check_domain=False) > 0.0
+# Every validated route checks theta the same way: length, then finiteness,
+# then the closed box.  AugPoint refuses a non-finite theta itself, so the
+# augmented routes get a bare (theta, a, b) record and the check that answers
+# is the field's.
+_CFG = AugConfig()
+_ROUTES = {
+    "ScalarField.value": lambda f, theta: f.value(theta),
+    "ScalarField.gradient": lambda f, theta: f.gradient(theta),
+    "augment.evaluate": lambda f, theta: augment.evaluate(
+        f, SimpleNamespace(theta=theta, a=0.5, b=0.25), _CFG),
+    "augment.gradient": lambda f, theta: augment.gradient(
+        f, SimpleNamespace(theta=theta, a=0.5, b=0.25), _CFG),
+}
+_CHECKED = [(route, name) for route in _ROUTES for name in ("rastrigin-1d", "ackley-2d")]
+
+
+def _hex(out) -> str:
+    if isinstance(out, tuple):
+        return "(" + " ".join(map(_hex, out)) + ")"
+    return out.hex() if isinstance(out, float) else repr(out)
+
+
+# sha256 of every accepted input with its result's bits, recorded while the
+# routes could still skip the box test
+_ACCEPTED_DIGESTS = {
+    ("ScalarField.value", "rastrigin-1d"):
+        "728de2ec8bd5a4a8265b1509bd71679e71e22913423b36ff0323a9adb6d50874",
+    ("ScalarField.value", "ackley-2d"):
+        "9185ad0cd9129ec22d1489020b87c6708f917d842653bacc5418159fe52edf3d",
+    ("ScalarField.gradient", "rastrigin-1d"):
+        "2b8ff91ddfbdcd113fe5ad57c921e2859349797ce43279cf9a0d9cd03c8c739a",
+    ("ScalarField.gradient", "ackley-2d"):
+        "d680cd9c9b4b32c2acf0c402f3165f39122e38d6c542200e5d17f6a7490bb198",
+    ("augment.evaluate", "rastrigin-1d"):
+        "0c1ca93c41c05611657b35132379b24ef7f7c14ba3b8f4034517afa9ef757c3c",
+    ("augment.evaluate", "ackley-2d"):
+        "7fa96b945b1de62060058b683778be2de06b929fe9cb1022f56f47b8bdc73c4e",
+    ("augment.gradient", "rastrigin-1d"):
+        "4e23473cc3b3fc7965734e4347233b0ff4dff8c75661dd0c1025a0f8e9f33ad6",
+    ("augment.gradient", "ackley-2d"):
+        "b464327b4f24a5ea565d8b71ca4444e8f0fe6cbed9be0f55225dde92dfc0bfc4",
+}
+
+
+@pytest.mark.parametrize("route, name", _CHECKED)
+def test_routes_accept_the_closed_box_bit_for_bit(route, name):
+    # each corner puts every bound in exactly; int coordinates (the ackley
+    # ones on its corner) and -0.0 read as the floats they convert to
+    f, call = get_field(name), _ROUTES[route]
+    ints = [tuple(range(1, f.dim + 1)), tuple(-int(hi) for hi in f.upper)]
+    inputs = [*itertools.product(*zip(f.lower, f.upper)), *ints, (-0.0,) * f.dim]
+    for theta in ints:
+        assert _hex(call(f, theta)) == _hex(call(f, tuple(map(float, theta))))
+    text = "\n".join(f"{theta!r} {_hex(call(f, theta))}" for theta in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == _ACCEPTED_DIGESTS[route, name]
+
+
+def _rejected(f):
+    """(theta, error class, message) for inputs every route must refuse."""
+    box = f"{f.lower}..{f.upper}"
+    cases = []
+    for i in range(f.dim):
+        def at(c):
+            return (0.0,) * i + (c,) + (0.0,) * (f.dim - 1 - i)
+        for bound, away in ((f.lower[i], -math.inf), (f.upper[i], math.inf)):
+            theta = at(math.nextafter(bound, away))
+            cases.append((theta, DomainError, f"{f.name}: {theta} outside domain box {box}"))
+        for c in (math.nan, math.inf, -math.inf):
+            theta = at(c)
+            cases.append((theta, NonFiniteError, f"{f.name}: non-finite coordinate in {theta}"))
+    if f.dim == 2:  # a coordinate out of the box and the other nan: nan answers
+        for theta in ((99.0, math.nan), (math.nan, -99.0)):
+            cases.append((theta, NonFiniteError, f"{f.name}: non-finite coordinate in {theta}"))
+    # the wrong length answers first, whatever the coordinates hold
+    for theta in ((0.0,) * (f.dim - 1), (0.0,) * (f.dim + 1), (math.nan,) + (99.0,) * f.dim):
+        cases.append((theta, DimensionError,
+                      f"{f.name}: expected {f.dim} coordinates, got {len(theta)}"))
+    return cases
+
+
+@pytest.mark.parametrize("route, name", _CHECKED)
+def test_routes_refuse_what_lies_outside_the_box(route, name):
+    f, call = get_field(name), _ROUTES[route]
+    for theta, error, message in _rejected(f):
+        with pytest.raises(FieldError) as caught:
+            call(f, theta)
+        assert type(caught.value) is error, theta
+        assert str(caught.value) == message
 
 
 def test_clamp_reports_event():

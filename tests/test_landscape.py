@@ -58,7 +58,7 @@ def test_converged_reports_self_certify_through_public_gradient():
     converged = [r for r in reports if r.converged]
     assert converged, "expected at least one converged report"
     for r in converged:
-        g = gradient(field, r.point, CFG, check_domain=False)
+        g = gradient(field, r.point, CFG)
         assert math.hypot(*g.d_theta, g.d_a, g.d_b) <= 1e-8
         assert r.base_loss <= 1e-4 and abs(r.point.a) <= 1e-3
 

@@ -4,10 +4,10 @@ once; lam, the saturation policy and grad_tol are the core's only settings;
 the scalar core has one return shape, the finder's grad one path, and augment
 imports nothing from minimize; the channel exit takes its limits from
 Thresholds alone; the saturation policy is applied and the random start is
-drawn in one function each; no field is built by a descent; the finder's
-closures keep the shapes the benchmark's tracer wraps; the optimizer kernel
-remembers only its last theta; and trajectory rows have one append path and
-no per-step point."""
+drawn in one function each; every validated call checks the box, in one
+comparison; no field is built by a descent; the finder's closures keep the
+shapes the benchmark's tracer wraps; the optimizer kernel remembers only its
+last theta; and trajectory rows have one append path and no per-step point."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -218,6 +218,36 @@ def _function(filename: str, name: str) -> ast.FunctionDef:
     tree = ast.parse((SRC / filename).read_text())
     return next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _params(fn: ast.FunctionDef) -> list[str]:
+    args = fn.args
+    assert args.vararg is None and args.kwarg is None, fn.name
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def test_every_validated_call_checks_the_box():
+    # the five checked routes take their inputs and nothing else, no parameter
+    # or keyword in the package names the domain, fields.py compares theta
+    # with the box in one chained test, in ScalarField.contains, and _check
+    # calls contains
+    tree = ast.parse((SRC / "fields.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ScalarField")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_check", "value", "gradient"):
+        assert _params(methods[name]) == ["self", "theta"], name
+    for name in ("evaluate", "gradient"):
+        assert _params(_function("augment.py", name)) == ["field", "point", "cfg"], name
+    assert [name for name, node in _nodes() if isinstance(node, (ast.arg, ast.keyword))
+            and node.arg and "domain" in node.arg] == []
+
+    def chained(node):
+        return isinstance(node, ast.Compare) and len(node.ops) == 2
+    assert _functions_where("fields.py", chained) == ["ScalarField.contains"]
+    assert [ast.unparse(node) for node in ast.walk(tree) if chained(node)] == \
+        ["lo <= t <= hi"]
+    assert any(_calls(node, "contains") for node in ast.walk(methods["_check"]))
 
 
 def test_finder_closure_shapes_stay_traceable():
