@@ -119,10 +119,10 @@ class AugPoint:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
+        object.__setattr__(self, "theta", tuple(map(float, self.theta)))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        if not (all(math.isfinite(t) for t in self.theta)
+        if not (all(map(math.isfinite, self.theta))
                 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"non-finite augmented point ({self.theta}, {self.a}, {self.b})")
 

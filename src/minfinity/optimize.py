@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
 from math import inf, isfinite, sqrt  # bare names: _run's loop is the hot path
 from typing import IO, Callable, Sequence
 
@@ -71,19 +73,29 @@ class OutcomeLabel:
 
 @dataclass
 class Trajectory:
-    """A recorded run, stored as columns: index ``i`` of every list is one
+    """A recorded run, stored as columns: index ``i`` of every column is one
     recorded step, and :meth:`record` is the only code that appends a row.
+
+    ``steps`` is an ``array('q')`` and the six float columns are
+    ``array('d')``: one packed machine value per row, not a boxed object.
+    ``thetas`` is a list of tuples.  A row whose theta compares equal to the
+    previous row's and holds no zero stores the previous row's tuple object
+    again (equal nonzero floats have equal bits; the zero test keeps ``-0.0``
+    apart from ``0.0``), so a settled run keeps a handful of tuples.  Tuple
+    identity carries no meaning.  Columns compare by value: a NaN row makes a
+    column unequal to every column, itself included, where a list holding the
+    same float object would compare equal by identity.
     """
 
     field_name: str
-    steps: list[int] = dc_field(default_factory=list)
+    steps: array = dc_field(default_factory=partial(array, "q"))
     thetas: list[tuple[float, ...]] = dc_field(default_factory=list)
-    a_values: list[float] = dc_field(default_factory=list)
-    b_values: list[float] = dc_field(default_factory=list)
-    us: list[float] = dc_field(default_factory=list)
-    base_losses: list[float] = dc_field(default_factory=list)  # L(theta)
-    losses: list[float] = dc_field(default_factory=list)       # augmented
-    grad_norms: list[float] = dc_field(default_factory=list)
+    a_values: array = dc_field(default_factory=partial(array, "d"))
+    b_values: array = dc_field(default_factory=partial(array, "d"))
+    us: array = dc_field(default_factory=partial(array, "d"))
+    base_losses: array = dc_field(default_factory=partial(array, "d"))  # L(theta)
+    losses: array = dc_field(default_factory=partial(array, "d"))       # augmented
+    grad_norms: array = dc_field(default_factory=partial(array, "d"))
     total_steps: int = 0
     clamp_events: int = 0
     saturation_events: int = 0
@@ -94,6 +106,8 @@ class Trajectory:
                loss: float, base: float, u: float, grad_norm: float) -> None:
         """Append one row.  ``theta`` is a tuple of finite floats and ``a``,
         ``b`` are finite floats."""
+        if self.thetas and theta == self.thetas[-1] and 0.0 not in theta:
+            theta = self.thetas[-1]
         self.steps.append(step)
         self.thetas.append(theta)
         self.a_values.append(a)

@@ -227,6 +227,26 @@ def test_config_validation():
     assert POLICY_SATURATE == AugConfig().saturation_policy
 
 
+def test_aug_point_coerces_ints_to_floats():
+    point = AugPoint((1, -2), 3, 0)
+    assert point.theta == (1.0, -2.0) and (point.a, point.b) == (3.0, 0.0)
+    assert all(type(c) is float for c in (*point.theta, point.a, point.b))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["theta", "a", "b"])
+def test_aug_point_rejects_a_non_finite_coordinate(slot, bad):
+    # the message shows the coordinates after float conversion
+    coords = {"theta": (1, 2), "a": 0, "b": 0}
+    coords[slot] = (1, bad) if slot == "theta" else bad
+    shown = {"theta": "(1.0, 2.0)", "a": "0.0", "b": "0.0"}
+    shown[slot] = f"(1.0, {bad!r})" if slot == "theta" else repr(bad)
+    with pytest.raises(ValueError) as err:
+        AugPoint(**coords)
+    assert str(err.value) == \
+        f"non-finite augmented point ({shown['theta']}, {shown['a']}, {shown['b']})"
+
+
 # --- the certificate and the divergence signature -----------------------------
 
 def test_certificate_edges():

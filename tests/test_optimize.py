@@ -1,9 +1,12 @@
 """Optimizer runs, trajectory recording, outcome classification."""
+import gc
 import hashlib
 import io
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -569,6 +572,55 @@ def test_run_builds_a_constant_number_of_points(monkeypatch):
     traj = run_optimizer(field, start, gd(1e-3, 10_500), CFG)
     assert len(traj.steps) == 10_051
     assert built == ["init"]  # the validated start, and nothing per step
+
+
+def test_channel_run_records_under_100_bytes_a_row():
+    # 10 051 rows of packed columns, with the settled theta stored as one
+    # tuple object; lists of boxed floats and a tuple per row took ~290 B a row
+    field = get_field("rastrigin-1d")
+    start = AugPoint(field.bad_minima[0].point, 0.1, 0.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run_optimizer(field, start, gd(1e-3, 10_500), CFG)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.steps) == 10_051
+    assert held / len(traj.steps) < 100
+    assert len({id(theta) for theta in traj.thetas}) < 100
+
+
+EXTREMES = (-0.0, 5e-324, 1e308, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("thetas", [
+    [(0.0,), (-0.0,), (0.0,), (0.0,), (-0.0,)],
+    [(1.5, 0.0), (1.5, 0.0), (1.5, -0.0), (-0.0, 1.5), (-0.0, 1.5)],
+])
+def test_record_keeps_every_bit_and_shares_no_theta_holding_a_zero(thetas):
+    # a fresh tuple per row: the literals above may be one constant object
+    thetas = [tuple(list(theta)) for theta in thetas]
+    # every float column meets every extreme, each row in a different column
+    a, b, loss, base, u, gn = ([EXTREMES[(k + c) % 5] for k in range(5)] for c in range(6))
+    traj = Trajectory(field_name="synthetic")
+    for row in zip(range(5), thetas, a, b, loss, base, u, gn):
+        traj.record(*row)
+    assert all(stored is theta for stored, theta in zip(traj.thetas, thetas))
+    columns = (traj.a_values, traj.b_values, traj.losses, traj.base_losses, traj.us,
+               traj.grad_norms)
+    assert [list(map(float.hex, col)) for col in columns] == \
+        [list(map(float.hex, col)) for col in (a, b, loss, base, u, gn)]
+    assert [list(map(float.hex, theta)) for theta in traj.thetas] == \
+        [list(map(float.hex, theta)) for theta in thetas]
+    assert list(traj.steps) == [0, 1, 2, 3, 4]
+    recorded = SimpleNamespace(steps=range(5), thetas=thetas, a_values=a, b_values=b, us=u,
+                               base_losses=base, losses=loss, grad_norms=gn)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == _reference_csv(recorded)
 
 
 def test_write_csv_passes_one_row_per_write():

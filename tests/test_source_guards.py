@@ -10,6 +10,7 @@ shapes the benchmark's tracer wraps; the optimizer kernel remembers only its
 last theta; and trajectory rows have one append path and no per-step point."""
 import ast
 import dataclasses
+from array import array
 from pathlib import Path
 
 import minfinity
@@ -289,14 +290,18 @@ def test_fast_kernel_state_is_the_last_theta_alone():
     assert sorted(declared) == ["seen", "seen_L", "seen_grad"]
 
 
-_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
+_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+             "byteswap", "frombytes", "fromfile", "fromlist")
 
 
 def test_trajectory_rows_are_appended_only_in_record():
-    # Trajectory keeps its rows as parallel columns; one append path keeps
-    # them the same length
-    columns = {f.name for f in dataclasses.fields(Trajectory) if f.default_factory is list}
-    assert {"steps", "thetas", "a_values", "b_values", "us"} <= columns
+    # Trajectory keeps its rows as parallel columns, packed arrays and the
+    # theta list; one append path keeps them the same length
+    columns = {f.name for f in dataclasses.fields(Trajectory)
+               if f.default_factory is not dataclasses.MISSING
+               and isinstance(f.default_factory(), (array, list))}
+    assert {"steps", "thetas", "a_values", "b_values", "us", "base_losses", "losses",
+            "grad_norms"} == columns
     tree = ast.parse((SRC / "optimize.py").read_text())
     trajectory = next(node for node in tree.body
                       if isinstance(node, ast.ClassDef) and node.name == "Trajectory")
