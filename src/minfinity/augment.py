@@ -23,12 +23,12 @@ apply the saturation policy in :func:`_saturate`.  ``lifted_loss`` stays a
 separate route on purpose: it is the dual-number oracle the core is checked
 against.  The certificate of a finite critical point, the signature of a run
 heading to b -> inf and the test for a bad minimum's channel are written
-once too, as the methods of :class:`Thresholds`.
+once too, as the methods of :class:`Thresholds`.  AugConfig, Thresholds and
+AugPoint check their fields in ``__new__``, which ``_replace`` skips.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import copysign, exp, log  # bare names: _terms is the hot path of every route
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
@@ -45,20 +45,28 @@ class SaturationError(ArithmeticError):
     """Raised under the ``error`` policy when an exponent guard trips."""
 
 
-@dataclass(frozen=True)
-class AugConfig:
+class _AugConfig(NamedTuple):
     lam: float = 1.0
     saturation_policy: str = POLICY_SATURATE
 
-    def __post_init__(self):
+
+class AugConfig(_AugConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be a positive real, got {self.lam!r}")
         if self.saturation_policy not in (POLICY_ERROR, POLICY_SATURATE):
             raise ValueError(f"unknown saturation policy {self.saturation_policy!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _Thresholds(NamedTuple):
+    grad_tol: float = 1e-8
+
+
+class Thresholds(_Thresholds):
     """The certificate, the divergence signature and the channel test, with
     their one set of limits.
 
@@ -68,16 +76,18 @@ class Thresholds:
     in the critical-points suite.
     """
 
+    __slots__ = ()
     b_max: ClassVar[float] = 20.0
     a_tol: ClassVar[float] = 1e-3
     loss_tol: ClassVar[float] = 1e-4
     u_window: ClassVar[float] = 0.1
-    grad_tol: float = 1e-8
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # an infinite tolerance would certify every point with |b| <= b_max
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ValueError(f"grad_tol must be a positive real, got {self.grad_tol!r}")
+        return self
 
     def certifies(self, grad_norm: float, base_loss: float, b: float) -> bool:
         """A finite critical point: gradient at tolerance, |b| <= b_max, and the
@@ -112,19 +122,20 @@ class Thresholds:
                 and abs(u - 1.0) <= self.u_window)
 
 
-@dataclass(frozen=True)
-class AugPoint:
+class _AugPoint(NamedTuple):
     theta: tuple[float, ...]
     a: float
     b: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(map(float, self.theta)))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (all(map(math.isfinite, self.theta))
-                and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"non-finite augmented point ({self.theta}, {self.a}, {self.b})")
+
+class AugPoint(_AugPoint):
+    __slots__ = ()
+
+    def __new__(cls, theta, a, b):
+        theta, a, b = tuple(map(float, theta)), float(a), float(b)
+        if not (all(map(math.isfinite, theta)) and math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"non-finite augmented point ({theta}, {a}, {b})")
+        return super().__new__(cls, theta, a, b)
 
     def coords(self) -> list[float]:
         return list(self.theta) + [self.a, self.b]
@@ -225,7 +236,7 @@ def gradient(field: ScalarField, point: AugPoint, cfg: AugConfig) -> AugGradient
     ``point.theta`` must lie in the field's closed box, else DimensionError,
     NonFiniteError or DomainError."""
     base = field.value(point.theta)
-    grad_base = field.gradient(point.theta)
+    grad_base = field._gradient(point.theta)  # value has checked theta
     _, base, u, u_sat = _terms(base, point.a, point.b, cfg.lam)
     grad, b_sat = _slopes(base, point.a, point.b, u, cfg.lam, grad_base)
     saturated = u_sat or b_sat or not all(map(math.isfinite, grad))

@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 class Dual:
     """Dual number primal + tangent*eps with eps^2 = 0.
 
-    Equality and hash go by the ``(primal, tangent)`` tuple, as for a frozen
-    dataclass; ``__slots__`` makes one cheap to build, but instances are
-    immutable by convention only: nothing assigns to one after ``__init__``.
+    Equality and hash go by the ``(primal, tangent)`` tuple.  ``__slots__``
+    makes one cheap to build, but instances are immutable by convention
+    only: nothing assigns to one after ``__init__``.
     """
 
     __slots__ = ("primal", "tangent")

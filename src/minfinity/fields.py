@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 from .differentiation import Dual, cos_, exp_, sqrt_
@@ -48,7 +47,6 @@ class BadMinimum(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
 class ScalarField:
     """A differentiable loss over a closed box, shifted by ``offset``.
 
@@ -57,18 +55,29 @@ class ScalarField:
     is a Dual, the lifted ones from :mod:`minfinity.differentiation`
     otherwise.  ``raw_gradient`` is the hand-derived gradient of the raw
     formula, as a tuple or a list.
+
+    Frozen: assignment and ``del`` raise AttributeError; :meth:`_replace` copies.
+    Slotted, not a NamedTuple, so ``object.__setattr__`` can still swap a formula.
     """
 
-    name: str
-    dim: int
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    raw_value: Callable[[Sequence], object]
-    raw_gradient: Callable[[Sequence[float]], Sequence[float]]
-    offset: float = 0.0
-    zero_min: bool = True
-    global_min: tuple[float, ...] | None = None
-    bad_minima: tuple[BadMinimum, ...] = ()
+    __slots__ = ("name", "dim", "lower", "upper", "raw_value", "raw_gradient", "offset",
+                 "zero_min", "global_min", "bad_minima")
+
+    def __init__(self, name: str, dim: int, lower: tuple[float, ...], upper: tuple[float, ...],
+                 raw_value: Callable, raw_gradient: Callable, offset: float = 0.0,
+                 zero_min: bool = True, global_min: tuple[float, ...] | None = None,
+                 bad_minima: tuple[BadMinimum, ...] = ()):
+        for slot, value in zip(self.__slots__, (name, dim, lower, upper, raw_value, raw_gradient,
+                                                offset, zero_min, global_min, bad_minima)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}: ScalarField is frozen")
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes) -> ScalarField:
+        return ScalarField(*[changes.pop(slot, getattr(self, slot)) for slot in self.__slots__],
+                           **changes)
 
     def _check(self, theta: Sequence[float]) -> tuple[float, ...]:
         theta = tuple(map(float, theta))
@@ -100,7 +109,9 @@ class ScalarField:
     def gradient(self, theta: Sequence[float]) -> tuple[float, ...]:
         """grad L(theta), ``theta`` in the closed box (else DimensionError,
         NonFiniteError or DomainError); NonFiniteError for a non-finite component."""
-        theta = self._check(theta)
+        return self._gradient(self._check(theta))
+
+    def _gradient(self, theta: tuple[float, ...]) -> tuple[float, ...]:
         g = tuple(self.raw_gradient(theta))
         if not all(map(math.isfinite, g)):
             raise NonFiniteError(f"{self.name}: non-finite gradient at {theta}")
@@ -158,7 +169,7 @@ def normalize(raw: ScalarField, grad_tol: float = 1e-7) -> ScalarField:
             best_x = tuple(res.x)
     if not any_converged or best_x is None:
         raise NormalizationError(f"{raw.name}: minimum search failed to converge")
-    return replace(raw, offset=raw.offset + best_val, global_min=best_x)
+    return raw._replace(offset=raw.offset + best_val, global_min=best_x)
 
 
 # ---------------------------------------------------------------------------

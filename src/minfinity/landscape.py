@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .augment import (AugConfig, AugPoint, Thresholds, _terms, fast_value_and_grad,
                       slice_value)
@@ -32,8 +31,7 @@ def random_start(field: ScalarField, rng: random.Random, margin: float) -> AugPo
     return AugPoint(theta, rng.uniform(*SEED_A_RANGE), rng.uniform(*SEED_B_RANGE))
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
+class CriticalPointReport(NamedTuple):
     point: AugPoint
     grad_norm: float
     base_loss: float
@@ -65,6 +63,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
     rng = random.Random(seed)
     dim, lam = field.dim, cfg.lam
     escape_at = thr.b_max + B_ESCAPE_MARGIN
+    grad_tol = thr.grad_tol  # bound once: read every phase-1 iteration
 
     def escape(x, v, g):
         a, b = x[dim], x[dim + 1]
@@ -74,7 +73,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             return False
         # in_channel's first test, with its limit, before u and L are computed
         theta_norm = math.hypot(*g[:dim])
-        if not theta_norm <= thr.grad_tol:
+        if not theta_norm <= grad_tol:
             return False
         u = _terms(0.0, a, b, lam)[2]
         dev = u - 1.0
@@ -84,7 +83,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
     for index in range(n_seeds):
         res = descend(
             value_fn, grad_fn, random_start(field, rng, 0.0).coords(),
-            grad_tol=thr.grad_tol,
+            grad_tol=grad_tol,
             max_iters=3000,
             polish_iters=2000,
             escape=escape,
@@ -116,15 +115,14 @@ def probe_infimum(field: ScalarField, theta: Sequence[float],
     in [L, fl(L + lam*exp(-2*b_max))] and is at most 2L.
     """
     cfg = cfg or AugConfig()
-    b_max = Thresholds().b_max
+    b_max = Thresholds.b_max
     base = field.value(theta)
     slice_value(base, 1.0, 0.0, cfg)  # the curve's top, L + lam: where an overflow raises
     end = slice_value(base, math.exp(-b_max), b_max, cfg)[0]
     return min(base + base if base > 0.0 else 0.0, end)
 
 
-@dataclass
-class ContourGrid:
+class ContourGrid(NamedTuple):
     """Augmented loss sampled on an (a, b) grid at a constant base loss."""
 
     a_axis: list[float]

@@ -10,10 +10,9 @@ gradient norm seen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, inf, isfinite, sqrt  # bare names: descend's loop is the finder's hot path
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 ARMIJO_C = 0.1
 STALL_STEP = 1e-10
@@ -21,8 +20,7 @@ STEP0 = 1.0  # first trial step
 STEP_CAP = 2.0  # longest displacement one trial step may make
 
 
-@dataclass
-class DescentResult:
+class DescentResult(NamedTuple):
     x: list[float]
     value: float
     grad_norm: float

@@ -8,16 +8,16 @@ Outcomes:
                        that no finite point attains
   numerical-failure    a non-finite loss or gradient appeared
   budget-exhausted     none of the above within the step budget
+
+OptimizerSpec checks its fields in ``__new__``, which ``_replace`` skips.
 """
 from __future__ import annotations
 
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field as dc_field
-from functools import partial
 from math import inf, isfinite, sqrt  # bare names: _run's loop is the hot path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 from .augment import AugConfig, AugPoint, Thresholds, _terms, fast_kernel
 from .fields import DimensionError, ScalarField
@@ -31,8 +31,7 @@ FAILED = "numerical-failure"
 DENSE_RECORD_LIMIT = 10_000  # record every step up to here, then every 10th
 
 
-@dataclass(frozen=True)
-class OptimizerSpec:
+class _OptimizerSpec(NamedTuple):
     kind: str  # gd | momentum | adam
     step_size: float
     max_steps: int
@@ -41,7 +40,12 @@ class OptimizerSpec:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def __post_init__(self):
+
+class OptimizerSpec(_OptimizerSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("gd", "momentum", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
@@ -56,10 +60,10 @@ class OptimizerSpec:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be a positive real, got {self.eps!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class OutcomeLabel:
+class OutcomeLabel(NamedTuple):
     kind: str
     final_a: float
     final_b: float
@@ -68,10 +72,9 @@ class OutcomeLabel:
     final_grad_norm: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class Trajectory:
     """A recorded run, stored as columns: index ``i`` of every column is one
     recorded step, and :meth:`record` is the only code that appends a row.
@@ -87,20 +90,19 @@ class Trajectory:
     same float object would compare equal by identity.
     """
 
-    field_name: str
-    steps: array = dc_field(default_factory=partial(array, "q"))
-    thetas: list[tuple[float, ...]] = dc_field(default_factory=list)
-    a_values: array = dc_field(default_factory=partial(array, "d"))
-    b_values: array = dc_field(default_factory=partial(array, "d"))
-    us: array = dc_field(default_factory=partial(array, "d"))
-    base_losses: array = dc_field(default_factory=partial(array, "d"))  # L(theta)
-    losses: array = dc_field(default_factory=partial(array, "d"))       # augmented
-    grad_norms: array = dc_field(default_factory=partial(array, "d"))
-    total_steps: int = 0
-    clamp_events: int = 0
-    saturation_events: int = 0
-    augmented: bool = True
-    outcome: OutcomeLabel | None = None
+    def __init__(self, field_name: str, augmented: bool = True):
+        self.field_name = field_name
+        self.steps = array("q")
+        self.thetas: list[tuple[float, ...]] = []
+        self.a_values = array("d")
+        self.b_values = array("d")
+        self.us = array("d")
+        self.base_losses = array("d")  # L(theta)
+        self.losses = array("d")       # augmented
+        self.grad_norms = array("d")
+        self.total_steps = self.clamp_events = self.saturation_events = 0
+        self.augmented = augmented
+        self.outcome: OutcomeLabel | None = None
 
     def record(self, step: int, theta: tuple[float, ...], a: float, b: float,
                loss: float, base: float, u: float, grad_norm: float) -> None:

@@ -2,7 +2,6 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import pytest
@@ -328,7 +327,7 @@ def test_fast_kernel_matches_evaluate_and_gradient_bitwise(cfg):
         field = get_field(name)
         # the same field shifted up by 5e-10, so that L near the global
         # minimum lands in the [-1e-9, 0) band that the floor maps to 0
-        for f in (field, replace(field, offset=field.offset + 5e-10)):
+        for f in (field, field._replace(offset=field.offset + 5e-10)):
             kernel = fast_kernel(f, cfg)
             value_fn, grad_fn = fast_value_and_grad(f, cfg)
             points = _oracle_points(f, rng)

@@ -2,7 +2,6 @@
 import hashlib
 import math
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -185,9 +184,9 @@ def _bits(xs):
 def _signed_field():
     # L = 2 + sign(theta) and grad L = sign(theta): the sign of a zero
     # changes every bit of both
-    return replace(get_field("quadratic-1d"),
-                   raw_value=lambda t: 2.0 + math.copysign(1.0, t[0]),
-                   raw_gradient=lambda t: (math.copysign(1.0, t[0]),))
+    return get_field("quadratic-1d")._replace(
+        raw_value=lambda t: 2.0 + math.copysign(1.0, t[0]),
+        raw_gradient=lambda t: (math.copysign(1.0, t[0]),))
 
 
 def test_fast_grad_reuses_the_base_loss_of_the_same_list_only():
@@ -244,8 +243,8 @@ def test_finder_evaluates_the_base_loss_once_per_new_point(monkeypatch):
     # per report
     # theta never moves on a flat base loss; at L = 5e-5, under loss_tol, the
     # channel exit leaves the start alone
-    flat = replace(get_field("double-well-1d"), offset=-5e-5,
-                   raw_value=lambda t: 0.0, raw_gradient=lambda t: (0.0,))
+    flat = get_field("double-well-1d")._replace(offset=-5e-5, raw_value=lambda t: 0.0,
+                                                raw_gradient=lambda t: (0.0,))
     seen = {}
 
     def counted_pair(f, cfg):
@@ -344,7 +343,7 @@ def _probe_by_scan(field, theta, cfg):
 
 
 def _fixed_loss_field(L):
-    return replace(get_field("quadratic-1d"), raw_value=lambda t: L)
+    return get_field("quadratic-1d")._replace(raw_value=lambda t: L)
 
 
 _PROBE_LOSSES = st.one_of(

@@ -5,7 +5,6 @@ import io
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -391,7 +390,7 @@ def test_trajectory_csv_is_byte_stable(augmented, name, theta, kind, step, steps
 def test_plain_failure_row_keeps_a_and_b_at_positive_zero(kind):
     # with no box to clip it, theta overflows on the first update; _sanitize
     # saturates it, and the recorded a and b are still +0.0
-    field = replace(get_field("quadratic-1d"), lower=(-math.inf,), upper=(math.inf,))
+    field = get_field("quadratic-1d")._replace(lower=(-math.inf,), upper=(math.inf,))
     traj = run_plain(field, (1.0,), OptimizerSpec(kind=kind, step_size=1e308, max_steps=100))
     assert traj.outcome.kind == FAILED and traj.total_steps == 1
     assert traj.thetas == [(1.0,), (-1e308,)] and traj.losses[-1] == math.inf
@@ -399,7 +398,7 @@ def test_plain_failure_row_keeps_a_and_b_at_positive_zero(kind):
 
 
 def test_integer_box_bound_is_recorded_as_float():
-    field = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
+    field = get_field("quadratic-1d")._replace(lower=(-1,), upper=(1,))
     traj = run_optimizer(field, AugPoint((-3.0,), 0.1, 0.0), gd(1e-2, 50), CFG)
     assert traj.clamp_events == 1
     buf = io.StringIO()
@@ -420,8 +419,8 @@ def _counting(field):
             return fn(theta)
         return wrapper
 
-    return replace(field, raw_value=counted("raw_value"),
-                   raw_gradient=counted("raw_gradient")), calls
+    return field._replace(raw_value=counted("raw_value"),
+                          raw_gradient=counted("raw_gradient")), calls
 
 
 def _assert_once_per_step(traj, calls):
@@ -519,7 +518,7 @@ def _hex_rows(rows):
     return [tuple(map(float.hex, (*theta, a, b))) for theta, a, b in rows]
 
 
-INT_BOX_QUADRATIC = replace(get_field("quadratic-1d"), lower=(-1,), upper=(1,))
+INT_BOX_QUADRATIC = get_field("quadratic-1d")._replace(lower=(-1,), upper=(1,))
 
 
 @pytest.mark.parametrize("field,theta,spec,min_clamps", [
@@ -547,7 +546,7 @@ def test_points_view_is_the_per_step_points(field, theta, spec, min_clamps):
 def test_in_place_theta_clip_is_scalar_field_clamp(lower, upper):
     # run_optimizer clips theta in place over float bounds; it must give the
     # float of ScalarField.clamp's value, bit for bit, and the same moved flag
-    field = replace(get_field("quadratic-1d"), lower=lower, upper=upper)
+    field = get_field("quadratic-1d")._replace(lower=lower, upper=upper)
     box = tuple(zip(range(1), map(float, lower), map(float, upper)))
     for c in (-0.0, 0.0, -3.0, -1.0, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan):
         x = [c, 0.25, -0.5]
@@ -562,16 +561,16 @@ def test_run_builds_a_constant_number_of_points(monkeypatch):
     field = get_field("rastrigin-1d")
     start = AugPoint(field.bad_minima[0].point, 0.1, 0.0)
     built = []
-    init = AugPoint.__init__
+    new = AugPoint.__new__
 
-    def counted_init(self, *args, **kwargs):
-        built.append("init")
-        init(self, *args, **kwargs)
+    def counted_new(cls, *args, **kwargs):
+        built.append("new")
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(AugPoint, "__init__", counted_init)
+    monkeypatch.setattr(AugPoint, "__new__", counted_new)
     traj = run_optimizer(field, start, gd(1e-3, 10_500), CFG)
     assert len(traj.steps) == 10_051
-    assert built == ["init"]  # the validated start, and nothing per step
+    assert built == ["new"]  # the validated start, and nothing per step
 
 
 def test_channel_run_records_under_100_bytes_a_row():

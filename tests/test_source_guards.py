@@ -7,14 +7,17 @@ Thresholds alone; the saturation policy is applied and the random start is
 drawn in one function each; every validated call checks the box, in one
 comparison; no field is built by a descent; the finder's closures keep the
 shapes the benchmark's tracer wraps; the optimizer kernel remembers only its
-last theta; and trajectory rows have one append path and no per-step point."""
+last theta; trajectory rows have one append path and no per-step point; and
+no module imports dataclasses, so a cold start loads none of its imports."""
 import ast
-import dataclasses
-from array import array
+import subprocess
+import sys
 from pathlib import Path
 
 import minfinity
 from minfinity import AugConfig, Thresholds, Trajectory
+
+from cli_env import cli_env
 
 SRC = Path(minfinity.__file__).resolve().parent
 
@@ -47,8 +50,8 @@ def test_only_lam_policy_and_grad_tol_are_settings():
     # the exponent clamp is augment.B_CLAMP alone: AugConfig holds lam and the
     # saturation policy, Thresholds sets grad_tol per run and keeps its other
     # limits as class constants, and the scalar core takes no clamp
-    assert [f.name for f in dataclasses.fields(AugConfig)] == ["lam", "saturation_policy"]
-    assert [f.name for f in dataclasses.fields(Thresholds)] == ["grad_tol"]
+    assert AugConfig._fields == ("lam", "saturation_policy")
+    assert Thresholds._fields == ("grad_tol",)
     for name in ("_terms", "_slopes"):
         args = _function("augment.py", name).args
         params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
@@ -95,7 +98,8 @@ def _defaults(owner):
 
 def test_threshold_defaults_are_written_once():
     # b_max = 20.0, loss_tol = 1e-4 and u_window = 0.1 are constants of
-    # Thresholds and grad_tol = 1e-8 its default; every reader in the package
+    # Thresholds and grad_tol = 1e-8 the default of its field, declared in
+    # the NamedTuple base _Thresholds; every reader in the package
     # takes them from a Thresholds instance.  descend keeps its own default only for outside
     # callers that pass no tolerance (the benchmark's helper tests); every
     # call in the package passes one
@@ -105,9 +109,9 @@ def test_threshold_defaults_are_written_once():
              for key, d in _defaults(owner)
              if key in wanted and isinstance(d, ast.Constant) and d.value == wanted[key]]
     assert sorted(found) == [("augment.py", "Thresholds", "b_max"),
-                             ("augment.py", "Thresholds", "grad_tol"),
                              ("augment.py", "Thresholds", "loss_tol"),
                              ("augment.py", "Thresholds", "u_window"),
+                             ("augment.py", "_Thresholds", "grad_tol"),
                              ("minimize.py", "descend", "grad_tol")]
     calls = [node for _, node in _nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "descend"]
@@ -124,8 +128,8 @@ def test_channel_exit_limits_come_from_thresholds():
     # values (1e-8, 1e-4, 0.1) to test against instead
     limits = ("grad_tol", "loss_tol", "u_window")
     tree = ast.parse((SRC / "augment.py").read_text())
-    thresholds = next(node for node in tree.body
-                      if isinstance(node, ast.ClassDef) and node.name == "Thresholds")
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    thresholds = classes["Thresholds"]
     in_channel = next(node for node in thresholds.body
                       if isinstance(node, ast.FunctionDef) and node.name == "in_channel")
     read = sorted(node.attr for node in ast.walk(in_channel)
@@ -133,7 +137,8 @@ def test_channel_exit_limits_come_from_thresholds():
     assert read == sorted(limits)
     assert [node.value for node in ast.walk(in_channel)
             if isinstance(node, ast.Constant) and isinstance(node.value, float)] == [1.0]
-    values = {d.value for key, d in _defaults(thresholds) if key in limits}
+    values = {d.value for cls in (classes["_Thresholds"], thresholds)
+              for key, d in _defaults(cls) if key in limits}
     assert values == {1e-8, 1e-4, 0.1}
     assert [ast.unparse(node) for name, node in _nodes() if name == "landscape.py"
             and isinstance(node, ast.Constant) and isinstance(node.value, float)
@@ -155,7 +160,7 @@ def _functions_where(filename: str, test) -> list[str]:
 
 def test_saturation_policy_is_applied_in_one_function():
     # augment._saturate is the one place that picks flag or raise; the routes
-    # call it only once a guard has tripped.  AugConfig.__post_init__ only
+    # call it only once a guard has tripped.  AugConfig.__new__ only
     # checks that the value is a known policy
     def compares_policy(node):
         return isinstance(node, ast.Compare) and any(
@@ -163,7 +168,7 @@ def test_saturation_policy_is_applied_in_one_function():
             for n in ast.walk(node))
 
     assert _functions_where("augment.py", compares_policy) == \
-        ["AugConfig.__post_init__", "_saturate"]
+        ["AugConfig.__new__", "_saturate"]
     assert [name for name, node in _nodes() if compares_policy(node)] == ["augment.py"] * 2
 
 
@@ -296,23 +301,29 @@ _MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "re
 
 def test_trajectory_rows_are_appended_only_in_record():
     # Trajectory keeps its rows as parallel columns, packed arrays and the
-    # theta list; one append path keeps them the same length
-    columns = {f.name for f in dataclasses.fields(Trajectory)
-               if f.default_factory is not dataclasses.MISSING
-               and isinstance(f.default_factory(), (array, list))}
-    assert {"steps", "thetas", "a_values", "b_values", "us", "base_losses", "losses",
-            "grad_norms"} == columns
+    # theta list, each created empty in __init__; one append path keeps them
+    # the same length
     tree = ast.parse((SRC / "optimize.py").read_text())
     trajectory = next(node for node in tree.body
                       if isinstance(node, ast.ClassDef) and node.name == "Trajectory")
-    record = next(node for node in trajectory.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "record")
+    methods = {node.name: node for node in trajectory.body if isinstance(node, ast.FunctionDef)}
+    init, record = methods["__init__"], methods["record"]
+    columns = set()
+    for node in ast.walk(init):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, ast.List) or _calls(node.value, "array")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            columns |= {t.attr for t in targets if isinstance(t, ast.Attribute)}
+    assert {"steps", "thetas", "a_values", "b_values", "us", "base_losses", "losses",
+            "grad_norms"} == columns
+    traj = Trajectory("f")
+    assert all(len(getattr(traj, name)) == 0 for name in columns)
     writes = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in _MUTATORS \
                 and isinstance(node.value, ast.Attribute) and node.value.attr in columns:
             writes.append(node)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete)):
             targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
                 else [node.target]
             for t in targets:
@@ -321,8 +332,9 @@ def test_trajectory_rows_are_appended_only_in_record():
                 if isinstance(t, ast.Attribute) and t.attr in columns:
                     writes.append(t)
     inside = {id(node) for node in ast.walk(record)}
-    assert [ast.unparse(w) for w in writes if id(w) not in inside] == []
-    assert sorted(w.value.attr for w in writes) == sorted(columns)
+    created = {id(node) for node in ast.walk(init)}
+    assert [ast.unparse(w) for w in writes if id(w) not in inside | created] == []
+    assert sorted(w.value.attr for w in writes if id(w) in inside) == sorted(columns)
 
 
 def test_optimizer_loop_builds_no_point():
@@ -342,3 +354,18 @@ def test_marching_squares_builds_no_table_per_cell():
     assert loops
     assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda, ast.Dict))
                    for loop in loops for node in ast.walk(loop))
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples and slotted classes: dataclasses would pull
+    # inspect, ast, dis and tokenize into every cold start of the CLI
+    imported = [(name, ast.unparse(node)) for name, node in _nodes()
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "dataclasses" in ([a.name for a in node.names]
+                                      if isinstance(node, ast.Import) else [node.module])]
+    assert imported == []
+    script = ("import sys, minfinity.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], env=cli_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
