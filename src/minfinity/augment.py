@@ -90,16 +90,25 @@ class Thresholds(_Thresholds):
         return self
 
     def certifies(self, grad_norm: float, base_loss: float, b: float) -> bool:
-        """A finite critical point: gradient at tolerance, |b| <= b_max, and the
-        stationarity residual 2*L*exp(b) at tolerance too.
+        """A finite critical point: gradient at tolerance, |b| <= b_max, the
+        stationarity residual 2*L*exp(b) at tolerance too, and b above
+        ``log(grad_tol / (2*loss_tol))`` (-9.90 with the defaults).
 
         At a true finite critical point dV/da at a = 0 is -2*L*exp(b), so it
         must vanish; without the residual the quasi-frozen plateau toward
         b -> -inf (a balances at L*exp(b)/lam and every gradient component
         dips under tolerance) would pass at a strictly positive base loss.
+        Below the bound on b the residual passes at losses above loss_tol (up
+        to 2.4 at b = -b_max), so there the certificate trades completeness
+        for soundness: it refuses even a true global minimum.  The bound is
+        tested as ``grad_tol < 2*loss_tol*exp(b)`` on the residual's own
+        rounded exp(b); rounding is monotone, so a certified point has
+        ``L < loss_tol``.
         """
-        return (grad_norm <= self.grad_tol and abs(b) <= self.b_max
-                and 2.0 * base_loss * exp(b) <= self.grad_tol)
+        if not (grad_norm <= self.grad_tol and abs(b) <= self.b_max):
+            return False
+        e = exp(b)
+        return 2.0 * base_loss * e <= self.grad_tol < 2.0 * self.loss_tol * e
 
     def diverging(self, a: float, b: float, u: float) -> bool:
         """The divergence signature: b at or past b_max, u = a*exp(b) within
@@ -319,6 +328,7 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
     Results are bitwise those of a fresh pair.
     """
     dim = field.dim
+    ib = dim + 1  # the index of b
     raw_value = field.raw_value
     raw_grad = field.raw_gradient
     offset = field.offset
@@ -328,13 +338,13 @@ def fast_value_and_grad(field: ScalarField, cfg: AugConfig):
 
     def value(x):
         nonlocal seen, seen_L, seen_u
-        v, seen_L, seen_u, _ = _terms(raw_value(x[:dim]) - offset, x[dim], x[dim + 1], lam)
+        v, seen_L, seen_u, _ = _terms(raw_value(x[:dim]) - offset, x[dim], x[ib], lam)
         seen = x
         return v
 
     def grad(x):
         if x is not seen:
             value(x)
-        return _slopes(seen_L, x[dim], x[dim + 1], seen_u, lam, raw_grad(x[:dim]))[0]
+        return _slopes(seen_L, x[dim], x[ib], seen_u, lam, raw_grad(x[:dim]))[0]
 
     return value, grad

@@ -177,6 +177,7 @@ def normalize(raw: ScalarField, grad_tol: float = 1e-7) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 _TWO_PI = 2.0 * math.pi
+_TWENTY_PI = 20.0 * math.pi  # rastrigin's gradient: 2*pi times its amplitude 10
 
 # located by dense grid search (step 1e-4) + bisection on the derivative
 RASTRIGIN_BAD_X = 0.9949586376523349
@@ -229,7 +230,7 @@ def _rastrigin(coords):
 def _rastrigin_grad(theta):
     grad = []
     for t in theta:  # a loop: for one or two coordinates a generator costs more
-        grad.append(2.0 * t + 20.0 * math.pi * math.sin(_TWO_PI * t))
+        grad.append(2.0 * t + _TWENTY_PI * math.sin(_TWO_PI * t))
     return grad
 
 

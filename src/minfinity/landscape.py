@@ -64,6 +64,7 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
     dim, lam = field.dim, cfg.lam
     escape_at = thr.b_max + B_ESCAPE_MARGIN
     grad_tol = thr.grad_tol  # bound once: read every phase-1 iteration
+    theta_idx = range(dim)
 
     def escape(x, v, g):
         a, b = x[dim], x[dim + 1]
@@ -71,7 +72,11 @@ def find_critical_points(field: ScalarField, cfg: AugConfig | None = None,
             return True
         if g is None:  # the polish phase: the |b| escape alone
             return False
-        # in_channel's first test, with its limit, before u and L are computed
+        # in_channel's first test, with its limit, before u and L are computed;
+        # hypot(*g) >= max|g_i|, so one component past the limit settles it
+        for i in theta_idx:
+            if not abs(g[i]) <= grad_tol:
+                return False
         theta_norm = math.hypot(*g[:dim])
         if not theta_norm <= grad_tol:
             return False

@@ -98,6 +98,7 @@ def descend(value_fn: Callable[[Sequence[float]], float],
     stalled = False
     gn = inf
 
+    armijo = ARMIJO_C  # a local: read on every trial
     for _ in range(max_iters):
         g = grad_fn(x)
         gn2 = _sum_sq(g)
@@ -108,13 +109,20 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             return DescentResult(x, v, gn, iterations, True)
         if escape is not None and escape(x, v, g):
             return DescentResult(x, v, gn, iterations, False, escaped=True)
-        s = min(step, STEP_CAP / gn)
+        s = STEP_CAP / gn
+        if not s < step:  # min(step, s) in one comparison: a tie keeps step
+            s = step
         accepted = False
         for _ in range(60):
-            nx = [xi - s * gi for xi, gi in zip(x, g)]
+            # x.copy() and an in-place loop: bitwise xi - s*gi, without the
+            # function frame a comprehension costs
+            nx = x.copy()
+            for i, gi in enumerate(g):
+                nx[i] -= s * gi
             _clip(nx, box)
             nv = value_fn(nx)
-            if isfinite(nv) and nv <= v - ARMIJO_C * s * gn2:
+            # the Armijo test first: nan and +-inf fail one of the two tests
+            if nv <= v - armijo * s * gn2 and isfinite(nv):
                 x, v = nx, nv
                 step = s * 2.0
                 if s >= STALL_STEP:
@@ -159,7 +167,9 @@ def descend(value_fn: Callable[[Sequence[float]], float],
             break
         if escape is not None and escape(x, None, None):
             break
-        x = [xi - eta * gi for xi, gi in zip(x, g)]
+        x = x.copy()
+        for i, gi in enumerate(g):
+            x[i] -= eta * gi
         _clip(x, box)
         iterations += 1
 

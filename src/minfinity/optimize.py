@@ -7,6 +7,9 @@ Outcomes:
                        hugged 1 and a shrank: the run is chasing an infimum
                        that no finite point attains
   numerical-failure    a non-finite loss or gradient appeared
+  tolerance-uncertified
+                       an augmented run stopped on grad_tol at a point
+                       that the certificate refuses
   budget-exhausted     none of the above within the step budget
 
 OptimizerSpec checks its fields in ``__new__``, which ``_replace`` skips.
@@ -26,6 +29,7 @@ from .minimize import _clip, _sum_sq
 CONVERGED = "converged-finite"
 AT_INFINITY = "minimum-at-infinity"
 EXHAUSTED = "budget-exhausted"
+UNCERTIFIED = "tolerance-uncertified"
 FAILED = "numerical-failure"
 
 DENSE_RECORD_LIMIT = 10_000  # record every step up to here, then every 10th
@@ -315,6 +319,8 @@ def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) 
     At the last recorded point, converged-finite is
     :meth:`Thresholds.certifies` and minimum-at-infinity is
     :meth:`Thresholds.diverging` with b non-decreasing over the final quarter.
+    An augmented run that stopped on ``grad_tol`` with neither is
+    tolerance-uncertified.
     """
     thr = thresholds or Thresholds()
     if not traj.steps:
@@ -336,7 +342,7 @@ def classify_trajectory(traj: Trajectory, thresholds: Thresholds | None = None) 
         return OutcomeLabel(CONVERGED, **cert)
     if thr.diverging(a, b, u) and _b_monotone_tail(traj):
         return OutcomeLabel(AT_INFINITY, **cert)
-    return OutcomeLabel(EXHAUSTED, **cert)
+    return OutcomeLabel(UNCERTIFIED if gn <= thr.grad_tol else EXHAUSTED, **cert)
 
 
 def _b_monotone_tail(traj: Trajectory) -> bool:

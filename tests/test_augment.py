@@ -248,16 +248,71 @@ def test_aug_point_rejects_a_non_finite_coordinate(slot, bad):
 
 # --- the certificate and the divergence signature -----------------------------
 
+def _lowest_certified_b(thr):
+    # the first float at or above log(grad_tol / (2*loss_tol)) that certifies
+    # a zero-loss point, found within a few ulps of the closed form
+    b = math.log(thr.grad_tol / (2.0 * thr.loss_tol))
+    for _ in range(4):
+        if thr.certifies(thr.grad_tol, 0.0, b):
+            return b
+        b = math.nextafter(b, math.inf)
+    raise AssertionError(f"no certified b within 4 ulps of {b!r}")
+
+
 def test_certificate_edges():
     thr = Thresholds()
     tol, b_max = thr.grad_tol, thr.b_max
-    assert thr.certifies(tol, 0.0, b_max) and thr.certifies(tol, 0.0, -b_max)
+    assert thr.certifies(tol, 0.0, b_max)
     assert not thr.certifies(tol, 0.0, math.nextafter(b_max, math.inf))
-    assert not thr.certifies(tol, 0.0, math.nextafter(-b_max, -math.inf))
     assert not thr.certifies(math.nextafter(tol, math.inf), 0.0, 0.0)
     # the residual 2*L*exp(0) exactly at the tolerance, then one float above it
     assert thr.certifies(0.0, tol / 2, 0.0)
     assert not thr.certifies(0.0, math.nextafter(tol / 2, math.inf), 0.0)
+    # the lower edge on b, log(grad_tol / (2*loss_tol)) = -9.90: one float on
+    # each side.  Below it the certificate trades completeness for soundness:
+    # (theta*, 0, -b_max) is a true global minimum of V and no longer certifies
+    lo = _lowest_certified_b(thr)
+    assert -9.9035 < lo < -9.9034
+    assert thr.certifies(tol, 0.0, lo)
+    assert not thr.certifies(tol, 0.0, math.nextafter(lo, -math.inf))
+    assert not thr.certifies(tol, 0.0, -b_max)
+    # the bound at a run's own grad_tol: -0.693 for 1e-4
+    assert -0.6932 < _lowest_certified_b(Thresholds(grad_tol=1e-4)) < -0.6931
+
+
+def test_certificate_is_sound_at_its_lower_edge():
+    # the closed-form bound b >= log(grad_tol / (2*loss_tol)) alone would let a
+    # loss 7 floats above loss_tol through at that b, where the rounded exp(b)
+    # sits under grad_tol / (2*loss_tol); the certificate tests the bound on
+    # that rounded exp(b), so no loss above loss_tol passes near the edge
+    thr = Thresholds()
+    lo = _lowest_certified_b(thr)
+    just_bad = math.nextafter(thr.loss_tol, math.inf)
+    b = lo
+    for _ in range(4):
+        b = math.nextafter(b, -math.inf)
+    for _ in range(9):
+        assert not thr.certifies(0.0, just_bad, b)
+        assert not thr.certifies(0.0, thr.loss_tol, b)
+        b = math.nextafter(b, math.inf)
+
+
+_CERT_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-4, 1e-8, 5e-5]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=_CERT_FLOATS,
+       # with a few floats just above loss_tol, where a rounding slip would show
+       L=st.one_of(_CERT_FLOATS, st.floats(1e-4, 1.000000000000001e-4)),
+       b=st.one_of(st.floats(), st.floats(-9.91, -9.90),
+                   st.just(math.log(1e-8 / 2e-4))),
+       tol=st.one_of(st.just(1e-8), st.floats(1e-300, 1e3)))
+def test_certified_points_are_within_loss_tol(g, L, b, tol):
+    # certifies(g, L, b) => L <= loss_tol, for every float input and any
+    # positive finite grad_tol: a certified point sits at a global minimum
+    thr = Thresholds(grad_tol=tol)
+    if thr.certifies(g, L, b):
+        assert L <= thr.loss_tol
 
 
 def test_divergence_signature_edges():

@@ -410,17 +410,41 @@ def test_config_file_seed_is_honoured(tmp_path):
 
 
 def test_grad_tol_both_stops_and_labels_the_run(tmp_path):
+    # the run stops on --grad-tol at step 48, at b = -0.803: below the
+    # certificate's bound log(1e-4 / (2*loss_tol)) = -0.693 for that
+    # tolerance, so it is labelled tolerance-uncertified, not certified
     args = ("optimize", "--field", "quadratic-1d", "--theta", "3",
             "--step-size", "0.1", "--max-steps", "1000")
     r = run_cli(*args, "--grad-tol", "1e-4", "--out", str(tmp_path / "t"))
     assert r.returncode == 0
     doc = json.loads(r.stdout)
-    assert doc["outcome"]["kind"] == "converged-finite"
+    assert doc["outcome"]["kind"] == "tolerance-uncertified"
     assert doc["total_steps"] == 48
+    assert -0.81 < doc["outcome"]["final_b"] < -0.80
     for tol in ("0", "inf"):  # inf would certify any point with |b| <= 20
         bad = run_cli(*args, "--grad-tol", tol, "--out", str(tmp_path / tol))
         assert bad.returncode == 2
         assert "bad optimizer spec" in bad.stderr
+
+
+@pytest.mark.parametrize("args, steps, loss", [
+    (("--field", "rastrigin-1d", "--start-mode", "at-bad-minimum",
+      "--step-size", "0.001"), 0, 0.9949590570932916),
+    # the negative control: this field's loss is never below 1
+    (("--field", "quadratic-plus-one-1d", "--theta", "0.3", "--step-size", "0.1"), 37, 1.0),
+])
+def test_bad_minimum_at_very_negative_b_is_not_certified(tmp_path, args, steps, loss):
+    # at b = -19.5 the residual 2*L*exp(b) passes at any L <= 1.5, and both
+    # runs stop on grad_tol at a bad base loss: they used to end
+    # converged-finite, and the certificate's lower bound on b refuses them
+    r = run_cli("optimize", *args, "--a", "0", "--b", "-19.5", "--max-steps", "2000",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["outcome"]["kind"] == "tolerance-uncertified"
+    assert doc["total_steps"] == steps
+    assert doc["outcome"]["final_base_loss"] == loss
+    assert doc["outcome"]["final_grad_norm"] <= 1e-8
 
 
 def test_compare_writes_paired_outputs(tmp_path):

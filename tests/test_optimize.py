@@ -16,7 +16,7 @@ from minfinity.augment import fast_kernel
 from minfinity.fields import RASTRIGIN_BAD_X
 from minfinity.minimize import _clip
 from minfinity.optimize import (AT_INFINITY, CONVERGED, DENSE_RECORD_LIMIT, EXHAUSTED,
-                                FAILED, _run, _updater)
+                                FAILED, UNCERTIFIED, _run, _updater)
 
 CFG = AugConfig()
 
@@ -156,9 +156,24 @@ def test_classify_budget_fallback():
 
 def test_classify_rejects_negative_b_plateau():
     # gradient under tolerance and |b| in bounds, but the base loss is 1:
-    # the a=0 stationarity residual 2*L*exp(b) ~ 2e-6 exposes the plateau
+    # the a=0 stationarity residual 2*L*exp(b) ~ 2e-6 exposes the plateau,
+    # and the run, stopped on grad_tol, reads tolerance-uncertified
     t = _synthetic([(1.2e-6, -13.6, 1.5e-12, 2.0, 1.0, 9.9e-9)])
+    assert classify_trajectory(t).kind == UNCERTIFIED
+
+
+def test_classify_tolerance_uncertified_below_the_b_bound():
+    # at b = -19.5 the residual 2*L*exp(b) passes for L up to 1.5, so only
+    # the lower bound on b keeps a bad minimum from certifying; one step
+    # short of grad_tol the same point is budget-exhausted
+    t = _synthetic([(0.0, -19.5, 0.0, 0.995, 0.995, 6.8e-9)])
+    assert classify_trajectory(t).kind == UNCERTIFIED
+    t = _synthetic([(0.0, -19.5, 0.0, 0.995, 0.995, 2e-8)])
     assert classify_trajectory(t).kind == EXHAUSTED
+    # a plain run has no certificate: the gradient test alone converges it
+    plain = Trajectory(field_name="synthetic", augmented=False)
+    plain.record(0, (0.0,), 0.0, 0.0, 0.995, 0.995, 0.0, 6.8e-9)
+    assert classify_trajectory(plain).kind == CONVERGED
 
 
 def test_classify_rejects_nonmonotone_tail():
@@ -222,13 +237,14 @@ def test_violator_plateau_freeze_is_not_converged():
     # the run then freezes with a balancing L*exp(b)/lam and every gradient
     # component under tolerance even though the base loss is 1.  The
     # stationarity residual 2*L*exp(b) in the certificate keeps the label
-    # honest: this is a plateau artifact, not finite convergence
+    # honest: this is a plateau artifact, not finite convergence, and the run
+    # stopped on grad_tol reads tolerance-uncertified
     field = get_field("quadratic-plus-one-1d")
     start = AugPoint((-6.213074620571222,), 0.8329195150116697, 2.8873570465777316)
     traj = run_optimizer(field, start, gd(1e-3, 20_000), CFG)
     assert traj.outcome.final_grad_norm <= 1e-8
     assert -20.0 < traj.outcome.final_b < -9.0
-    assert traj.outcome.kind == EXHAUSTED
+    assert traj.outcome.kind == UNCERTIFIED
     assert traj.outcome.final_base_loss == 1.0
 
 

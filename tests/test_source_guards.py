@@ -5,8 +5,9 @@ the scalar core has one return shape, the finder's grad one path, and augment
 imports nothing from minimize; the channel exit takes its limits from
 Thresholds alone; the saturation policy is applied and the random start is
 drawn in one function each; every validated call checks the box, in one
-comparison; no field is built by a descent; the finder's closures keep the
-shapes the benchmark's tracer wraps; the optimizer kernel remembers only its
+comparison; no field is built by a descent; descend's box projection and
+squared norm are written once; the finder's closures keep the shapes the
+benchmark's tracer wraps; the optimizer kernel remembers only its
 last theta; trajectory rows have one append path and no per-step point; and
 no module imports dataclasses, so a cold start loads none of its imports."""
 import ast
@@ -284,6 +285,30 @@ def test_finder_closure_shapes_stay_traceable():
     declared = {name for node in ast.walk(fast) if isinstance(node, ast.Nonlocal)
                 for name in node.names}
     assert declared == {"seen", "seen_L", "seen_u"}
+
+
+def test_descent_rules_are_written_once():
+    # descend projects every trial onto the box with _clip and takes every
+    # squared gradient norm from _sum_sq: minimize.py loops over the box
+    # only in _clip, and sums squares (fsum, mul, x*x or x**2) only in _sum_sq
+    descend = _function("minimize.py", "descend")
+    assert any(_calls(node, "_clip") for node in ast.walk(descend))
+    assert any(_calls(node, "_sum_sq") for node in ast.walk(descend))
+
+    def projects(node):
+        return (isinstance(node, ast.For) and ast.unparse(node.iter) == "box"
+                or _calls(node, "min") and any(_calls(a, "max") for a in node.args)
+                or _calls(node, "max") and any(_calls(a, "min") for a in node.args))
+
+    def squares(node):
+        return (isinstance(node, ast.Name) and node.id in ("fsum", "mul", "hypot")
+                or _calls(node, "sum")
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and ast.unparse(node.left) == ast.unparse(node.right))
+
+    assert _functions_where("minimize.py", projects) == ["_clip"]
+    assert _functions_where("minimize.py", squares) == ["_sum_sq"]
 
 
 def test_fast_kernel_state_is_the_last_theta_alone():
