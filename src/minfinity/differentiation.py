@@ -16,7 +16,10 @@ class Dual:
 
     Equality and hash go by the ``(primal, tangent)`` tuple.  ``__slots__``
     makes one cheap to build, but instances are immutable by convention
-    only: nothing assigns to one after ``__init__``.
+    only: nothing assigns to one after ``__init__``.  A float or int operand
+    of ``+ - * /`` takes part as itself, with a literal ``0.0`` tangent in
+    the formula, so no second Dual is built for it; every bit is that of
+    the same operation with ``Dual(float(c), 0.0)``.
     """
 
     __slots__ = ("primal", "tangent")
@@ -37,36 +40,43 @@ class Dual:
         return f"Dual(primal={self.primal!r}, tangent={self.tangent!r})"
 
     def __add__(self, other):
-        other = _lift(other)
-        return Dual(self.primal + other.primal, self.tangent + other.tangent)
+        if type(other) is Dual:
+            return Dual(self.primal + other.primal, self.tangent + other.tangent)
+        return Dual(self.primal + other, self.tangent + 0.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift(other)
-        return Dual(self.primal - other.primal, self.tangent - other.tangent)
+        if type(other) is Dual:
+            return Dual(self.primal - other.primal, self.tangent - other.tangent)
+        return Dual(self.primal - other, self.tangent - 0.0)
 
     def __rsub__(self, other):
-        return _lift(other) - self
+        return Dual(other - self.primal, 0.0 - self.tangent)
 
     def __mul__(self, other):
-        other = _lift(other)
-        return Dual(self.primal * other.primal,
-                    self.primal * other.tangent + self.tangent * other.primal)
+        p = self.primal
+        if type(other) is Dual:
+            return Dual(p * other.primal, p * other.tangent + self.tangent * other.primal)
+        return Dual(p * other, p * 0.0 + self.tangent * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _lift(other)
-        if other.primal == 0.0:
+        if type(other) is Dual:
+            q, dq = other.primal, other.tangent
+        else:  # float() as the lift did: an int's square is then rounded as a float's
+            q, dq = float(other), 0.0
+        if q == 0.0:
             raise ZeroDivisionError("dual division by zero primal part")
-        p = self.primal / other.primal
-        t = (self.tangent * other.primal - self.primal * other.tangent) / (
-            other.primal * other.primal)
-        return Dual(p, t)
+        p = self.primal
+        return Dual(p / q, (self.tangent * q - p * dq) / (q * q))
 
     def __rtruediv__(self, other):
-        return _lift(other) / self
+        q = self.primal
+        if q == 0.0:
+            raise ZeroDivisionError("dual division by zero primal part")
+        return Dual(other / q, (0.0 * q - other * self.tangent) / (q * q))
 
     def __neg__(self):
         return Dual(-self.primal, -self.tangent)
@@ -90,12 +100,6 @@ class Dual:
             # derivative blows up at 0; caller is expected to stay away
             return Dual(0.0, 0.0)
         return Dual(r, 0.5 * self.tangent / r)
-
-
-def _lift(x) -> Dual:
-    if isinstance(x, Dual):
-        return x
-    return Dual(float(x))
 
 
 # dispatch helpers so the same formula evaluates on floats and on Duals
@@ -144,9 +148,10 @@ def dual_gradient(f: Callable[[Sequence[Dual]], "Dual | float"],
 
     Pass ``i`` seeds only coordinate ``i``, as ``Dual(x[i], 1.0)``; the others
     stay floats, so ``f`` must accept floats and Duals mixed.  Wherever a
-    float meets a Dual, :func:`_lift` makes it ``Dual(c, 0.0)``, the seed an
-    unseeded coordinate would carry anyway; only operations among unseeded
-    coordinates change, to plain floats without a zero tangent.  On every
+    float meets a Dual it counts as ``Dual(c, 0.0)``, the seed an unseeded
+    coordinate would carry anyway, though no such Dual is built; only
+    operations among unseeded coordinates change, to plain floats without a
+    zero tangent.  On every
     shipped field's lifted loss the gradient is bitwise that of seeding all
     coordinates (the reference test in tests/test_differentiation.py).  A
     result that is no Dual reads as a zero derivative.

@@ -207,7 +207,9 @@ def sample_contour(l_slice: float, lam: float = 1.0,
 
 
 def stationarity_scan(grid: ContourGrid) -> list[tuple[int, int]]:
-    """All interior cells weakly minimal against their 8 neighbors, row-major."""
+    """All finite interior cells weakly minimal against their 8 neighbors,
+    row-major.  A NaN cell fails no comparison and an infinite one may tie its
+    neighbours, so finiteness is tested on the cells that pass."""
     V = grid.values
     nb = len(grid.b_axis)
     found = []
@@ -216,6 +218,7 @@ def stationarity_scan(grid: ContourGrid) -> list[tuple[int, int]]:
         for j in range(1, nb - 1):
             c = row[j]
             if not (up[j - 1] < c or up[j] < c or up[j + 1] < c or row[j - 1] < c
-                    or row[j + 1] < c or down[j - 1] < c or down[j] < c or down[j + 1] < c):
+                    or row[j + 1] < c or down[j - 1] < c or down[j] < c or down[j + 1] < c
+                    or not math.isfinite(c)):
                 found.append((i, j))
     return found

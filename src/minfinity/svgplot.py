@@ -1,9 +1,11 @@
 """Standalone SVG rendering of contour grids via marching squares.
 
 Output is a deterministic string: no timestamps, fixed float formatting, so
-repeated invocations are byte-identical.  Marching squares builds nothing for
-a cell its level does not cross: the case comes from precomputed ``v > level``
-rows, and the edge table and interpolation live at module level.
+repeated invocations are byte-identical.  Marching squares visits only the
+cells its level crosses: each row's ``v > level`` flags are packed one byte per
+column into an int, a few int operations per row pair mark the crossed cells,
+and ``bytes.find`` jumps from one to the next.  The edge table and the
+interpolation live at module level.
 """
 from __future__ import annotations
 
@@ -53,14 +55,26 @@ def _segments(grid: ContourGrid, level: float) -> list[tuple[float, float, float
     """Marching squares: line segments (in grid coordinates) of one level set,
     row-major, skipping cells with a non-finite corner."""
     V, A, B = grid.values, grid.a_axis, grid.b_axis
-    high = [[v > level for v in row] for row in V]
+    width = len(B) - 1  # cells per row
+    if width < 1:
+        return []
+    # one byte per column, 1 where v > level; as an int, byte j is column j
+    high = [bytes([v > level for v in row]) for row in V]
+    packed = [int.from_bytes(h, "little") for h in high]
+    cut = (1 << 8 * width) - 1  # the bytes of cell columns 0 .. width - 1
     segs = []
     for i in range(len(A) - 1):
+        r0, r1 = packed[i], packed[i + 1]
+        # byte j is 1 unless the cell's four corners agree: (i, j) against
+        # (i+1, j), then each row's column j against column j + 1
+        crossed = ((r0 ^ r1) | (r0 ^ r0 >> 8) | (r1 ^ r1 >> 8)) & cut
+        if not crossed:
+            continue
         h0, h1 = high[i], high[i + 1]
-        for j in range(len(B) - 1):
+        cells = crossed.to_bytes(width, "little")
+        j = -1
+        while (j := cells.find(1, j + 1)) >= 0:
             case = h0[j] | h1[j] << 1 | h1[j + 1] << 2 | h0[j + 1] << 3
-            if case == 0 or case == 15:
-                continue
             corners = (V[i][j], V[i + 1][j], V[i + 1][j + 1], V[i][j + 1])
             if not all(map(isfinite, corners)):
                 continue

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,47 @@ def test_dual_repr():
     assert repr(Dual(1.5, -0.0)) == "Dual(primal=1.5, tangent=-0.0)"
     assert repr(Dual(2)) == "Dual(primal=2, tangent=0.0)"
     assert repr(Dual(math.inf, 1e-300)) == "Dual(primal=inf, tangent=1e-300)"
+
+
+_OPERAND_FORMS = {
+    # form: (what the operator computes, the same expression with c lifted);
+    # c + d and c * d ran as d + C and d * C through the reflected aliases
+    "d+c": (lambda d, c: d + c, lambda d, C: d + C),
+    "c+d": (lambda d, c: c + d, lambda d, C: d + C),
+    "d-c": (lambda d, c: d - c, lambda d, C: d - C),
+    "c-d": (lambda d, c: c - d, lambda d, C: C - d),
+    "d*c": (lambda d, c: d * c, lambda d, C: d * C),
+    "c*d": (lambda d, c: c * d, lambda d, C: d * C),
+    "d/c": (lambda d, c: d / c, lambda d, C: d / C),
+    "c/d": (lambda d, c: c / d, lambda d, C: C / d),
+}
+
+
+def _bits(x: float) -> tuple[str, bytes]:
+    # float.hex prints every NaN as "nan"; the packed bytes keep its sign
+    return float.hex(x), struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("form", sorted(_OPERAND_FORMS))
+def test_float_operand_acts_as_a_zero_tangent_dual(form):
+    # a float or int operand enters the formula as itself, with a literal 0.0
+    # tangent: every primal and tangent keeps the bits of Dual(float(c), 0.0),
+    # signed zeros, infinities and NaN included
+    direct, lifted = _OPERAND_FORMS[form]
+    for c in (0.0, -0.0, 1.5, -2, math.inf, -math.inf, math.nan):
+        for p in (0.0, -0.0, -3.25, math.inf, math.nan):
+            for t in (0.0, -0.0, 1.0, math.inf):
+                d = Dual(p, t)
+                try:
+                    want = lifted(d, Dual(float(c), 0.0))
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        direct(d, c)
+                    continue
+                got = direct(d, c)
+                assert type(got) is Dual
+                assert (_bits(got.primal), _bits(got.tangent)) == \
+                    (_bits(want.primal), _bits(want.tangent)), (form, c, p, t)
 
 
 def test_dual_oracle_is_bitwise_stable():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from minfinity import (AugConfig, ContourGrid, Thresholds, cli,
                        field_names, find_critical_points, get_field, gradient, landscape,
-                       probe_infimum, sample_contour, stationarity_scan, verify)
+                       probe_infimum, sample_contour, stationarity_scan, svgplot, verify)
 from minfinity.augment import (POLICY_ERROR, POLICY_SATURATE, SaturationError, _terms,
                                fast_value_and_grad, slice_value)
 from minfinity.minimize import _clip, descend
@@ -532,6 +532,29 @@ def test_synthetic_bowl_and_plateau_scans():
     assert stationarity_scan(flat) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
+def test_scan_reports_no_non_finite_cell():
+    # past b of about 355, (u - 1)^2 overflows and the plateau of +inf cells
+    # ties every neighbour; 144 of them passed the neighbour test
+    grid = sample_contour(1.0, b_range=(300.0, 420.0), resolution=21)
+    V = grid.values
+    scan = stationarity_scan(grid)
+    assert len(scan) == 19
+    assert all(math.isfinite(V[i][j]) for i, j in scan)
+    plateau = [(i, j) for i in range(1, 20) for j in range(1, 20) if V[i][j] == math.inf
+               and all(V[i + di][j + dj] == math.inf for di in (-1, 0, 1) for dj in (-1, 0, 1))]
+    assert len(plateau) == 144
+    # on a tilted background only (1, 4) is minimal; the NaN at (1, 1), the
+    # centre of the +inf block at (3, 1) and the -inf at (3, 4) passed too
+    nan, inf = math.nan, math.inf
+    values = [[10.0 + i + j for j in range(6)] for i in range(5)]
+    values[1][1], values[1][4], values[3][4] = nan, 0.0, -inf
+    for i in (2, 3, 4):
+        values[i][:3] = [inf, inf, inf]
+    hand = ContourGrid([float(i) for i in range(5)], [float(j) for j in range(6)],
+                       values, 1.0, 1.0, [])
+    assert stationarity_scan(hand) == [(1, 4)]
+
+
 def test_contour_validation():
     with pytest.raises(ValueError):
         sample_contour(1.0, 1.0, resolution=1)
@@ -640,6 +663,65 @@ def test_svg_bytes_are_pinned():
         "saddles": "847dd4e75cda5a33ad77cc925281b18a9bece9567009feaf08606b8594fad7f3",
         "non-finite": "8dfd701bbffeb33a8cee175ff67bb5d312e7337386d7adb9e270db8f24dcd6ee",
     }
+
+
+def _reference_segments(grid, level):
+    # the per-cell loop _segments ran before it skipped uncrossed cells by
+    # packed rows: every cell's case from four booleans, row-major
+    V, A, B = grid.values, grid.a_axis, grid.b_axis
+    high = [[v > level for v in row] for row in V]
+    segs = []
+    for i in range(len(A) - 1):
+        h0, h1 = high[i], high[i + 1]
+        for j in range(len(B) - 1):
+            case = h0[j] | h1[j] << 1 | h1[j + 1] << 2 | h0[j + 1] << 3
+            if case == 0 or case == 15:
+                continue
+            corners = (V[i][j], V[i + 1][j], V[i + 1][j + 1], V[i][j + 1])
+            if not all(map(math.isfinite, corners)):
+                continue
+            if case == 5 or case == 10:
+                try:
+                    center = 0.25 * math.fsum(corners)
+                except OverflowError:
+                    center = math.fsum([0.25 * c for c in corners])
+                pairs = svgplot._SADDLE_JOINED if (case == 5) == (center > level) \
+                    else svgplot._SADDLE_SPLIT
+            else:
+                pairs = svgplot._CASE_EDGES[case]
+            xy = ((A[i], B[j]), (A[i + 1], B[j]), (A[i + 1], B[j + 1]), (A[i], B[j + 1]))
+            for (k1, m1), (k2, m2) in pairs:
+                x1, y1 = svgplot._lerp(level, xy[k1], xy[m1], corners[k1], corners[m1])
+                x2, y2 = svgplot._lerp(level, xy[k2], xy[m2], corners[k2], corners[m2])
+                segs.append((x1, y1, x2, y2))
+    return segs
+
+
+@st.composite
+def _marching_cases(draw):
+    # values from a small set so levels tie corners, cells go non-finite and
+    # whole rows stay on one side; a checkerboard tilt makes saddles common
+    level = draw(st.sampled_from([0.0, 0.5, -1.25, 1.0, 2.0]))
+    na, nb = draw(st.integers(2, 9)), draw(st.integers(2, 13))
+    palette = [level, math.nan, math.inf, -math.inf, 0.0, 1.0]
+    palette += draw(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+    picks = draw(st.binary(min_size=na * nb, max_size=na * nb))
+    values = [[palette[k % len(palette)] for k in picks[i * nb:(i + 1) * nb]]
+              for i in range(na)]
+    if draw(st.booleans()):
+        values = [[v + 2.0 * ((i + j) % 2) - 1.0 for j, v in enumerate(row)]
+                  for i, row in enumerate(values)]
+    grid = ContourGrid([0.5 * i - 1.0 for i in range(na)], [0.25 * j for j in range(nb)],
+                       values, 1.0, 1.0, [])
+    return grid, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marching_cases())
+def test_segments_match_the_per_cell_reference(case):
+    grid, level = case
+    got, want = svgplot._segments(grid, level), _reference_segments(grid, level)
+    assert [[v.hex() for v in seg] for seg in got] == [[v.hex() for v in seg] for seg in want]
 
 
 @pytest.mark.parametrize("ranges", [{"a_range": (1.0, 1.0)}, {"b_range": (-0.0, 0.0)}])

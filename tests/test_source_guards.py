@@ -8,8 +8,10 @@ drawn in one function each; every validated call checks the box, in one
 comparison; no field is built by a descent; descend's box projection and
 squared norm are written once; the finder's closures keep the shapes the
 benchmark's tracer wraps; the optimizer kernel remembers only its
-last theta; trajectory rows have one append path and no per-step point; and
-no module imports dataclasses, so a cold start loads none of its imports."""
+last theta; trajectory rows have one append path and no per-step point;
+marching squares loops over no row's every column and Dual arithmetic lifts
+no operand into a second Dual; and no module imports dataclasses, so a cold
+start loads none of its imports."""
 import ast
 import subprocess
 import sys
@@ -372,13 +374,32 @@ def test_optimizer_loop_builds_no_point():
 
 
 def test_marching_squares_builds_no_table_per_cell():
-    # the edge table and the interpolation live at module level; a cell the
-    # level does not cross costs a few boolean reads and nothing more
-    loops = [node for node in ast.walk(_function("svgplot.py", "_segments"))
-             if isinstance(node, (ast.While, ast.For))]
+    # the edge table and the interpolation live at module level; a row pair
+    # no level crosses costs a few int operations, and within a crossed one
+    # bytes.find jumps from crossed cell to crossed cell: no loop of the
+    # row-pair loop runs over every column, only over a cell's corners or
+    # its segments
+    fn = _function("svgplot.py", "_segments")
+    loops = [node for node in ast.walk(fn) if isinstance(node, (ast.While, ast.For))]
     assert loops
     assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda, ast.Dict))
                    for loop in loops for node in ast.walk(loop))
+    (rows,) = [node for node in fn.body if isinstance(node, ast.For)]
+    assert ast.unparse(rows.iter) == "range(len(A) - 1)"
+    inner = {ast.unparse(node.iter) for node in ast.walk(rows)
+             if isinstance(node, (ast.For, ast.comprehension)) and node is not rows}
+    assert inner <= {"pairs", "corners"}
+    whiles = [node for node in ast.walk(rows) if isinstance(node, ast.While)]
+    assert len(whiles) == 1 and ".find(1, j + 1)" in ast.unparse(whiles[0].test)
+
+
+def test_dual_arithmetic_lifts_no_operand():
+    # a float or int operand enters Dual's formulas as itself: no helper
+    # turns it into a second Dual first
+    tree = ast.parse((SRC / "differentiation.py").read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_lift" not in names
 
 
 def test_no_module_imports_dataclasses():
